@@ -24,10 +24,10 @@ Serving commands:
   GIL); ``plan <name>`` prints an auto-planned entry's decision record;
   ``--window W`` adds a sliding-window streaming entry answering the
   ``heavy`` command (approximate heavy hitters over the live window);
-  ``rebalance`` runs one skew-aware placement pass — migrating /
-  replicating hot entries by decayed QPS (thresholds via ``--hot-qps``
-  / ``--replicate-qps``; with ``--workers`` it instead checks the
-  persisted shard map and reloads on change) — and
+  ``rebalance`` runs one skew-aware placement pass — migrating hot
+  entries off crowded shards by decayed QPS (threshold via
+  ``--hot-qps``; with ``--workers`` it instead checks the persisted
+  shard map and reloads on change) — and
   ``--rebalance-interval S`` runs that same pass in the background
 * ``save``        — build synopses and persist the store to a directory
   (``--shards N`` writes the sharded layout; ``--families auto`` plans;

@@ -734,14 +734,6 @@ def serve_main(
         "entry to a dedicated shard (demotion at half this; default 1.0)",
     )
     parser.add_argument(
-        "--replicate-qps",
-        type=float,
-        default=None,
-        metavar="QPS",
-        help="decayed per-entry QPS above which reads replicate across "
-        "shards (default: 2x --hot-qps)",
-    )
-    parser.add_argument(
         "--max-resident-bytes",
         type=int,
         default=None,
@@ -812,11 +804,7 @@ def serve_main(
     rebalancer = None
     residency = None
     if not processes:
-        rebalancer = Rebalancer(
-            HotnessTracker(),
-            hot_qps=args.hot_qps,
-            replicate_qps=args.replicate_qps,
-        )
+        rebalancer = Rebalancer(HotnessTracker(), hot_qps=args.hot_qps)
         if args.max_resident_bytes is not None:
             # Share the rebalancer's tracker so the evictor and the
             # placement policy agree on which entries are hot.

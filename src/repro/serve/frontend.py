@@ -26,11 +26,7 @@ holding the target shard's write lock — so a streaming refresh can never
 race a query against a half-bumped entry, and every answer is
 attributable to one consistent ``(name, version)`` snapshot.
 
-Placement is *skew-aware*: entries with read replicas in the shard map
-have their coalescible reads fanned round-robin across the primary and
-replica shards, with version-checked fan-in — an answer computed on a
-replica whose snapshot trails the primary's live version is recomputed
-on the primary instead of served stale.  And because
+Every request is routed to the one shard its entry lives on.  Because
 ``ShardRouter.migrate`` can move an entry between the route decision and
 the evaluation, a miss on the routed shard re-resolves against the
 *current* map and retries there, so live migration never drops a query.
@@ -39,7 +35,6 @@ the evaluation, a miss on the routed shard re-resolves against the
 from __future__ import annotations
 
 import asyncio
-import itertools
 import time
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
@@ -178,13 +173,9 @@ class AsyncServingFrontend:
     Parameters
     ----------
     router:
-        The shard router to serve.  A one-shard router is fine; the front
-        end then degenerates to coalescing plus a single worker.
-    max_workers:
-        Thread-pool size; defaults to one worker per shard.
-    coalesce:
-        Merge same-``(name, kind)`` requests within a shard into one
-        vectorized call (on by default; disable to measure its effect).
+        The shard router to serve, with one pool thread per shard.  A
+        one-shard router is fine; the front end then degenerates to
+        coalescing plus a single worker.
     registry:
         Metrics registry to report into; defaults to the router's, so the
         front end's counters live next to the per-shard engine series in
@@ -197,13 +188,10 @@ class AsyncServingFrontend:
     def __init__(
         self,
         router: ShardRouter,
-        max_workers: Optional[int] = None,
-        coalesce: bool = True,
         registry: Optional[MetricsRegistry] = None,
         slow_query_log: Optional[SlowQueryLog] = None,
     ) -> None:
         self.router = router
-        self.coalesce = coalesce
         self.registry = router.registry if registry is None else registry
         self.slow_log = (
             SlowQueryLog() if slow_query_log is None else slow_query_log
@@ -224,21 +212,10 @@ class AsyncServingFrontend:
             "frontend_request_errors_total",
             "requests that returned a per-request error",
         )
-        self._c_replica_reads = self.registry.counter(
-            "frontend_replica_reads_total",
-            "coalescible reads routed to a replica shard",
-        )
-        self._c_replica_stale = self.registry.counter(
-            "frontend_replica_stale_fallbacks_total",
-            "replica answers recomputed on the primary (stale snapshot)",
-        )
         self._c_migrated_retries = self.registry.counter(
             "frontend_migrated_retries_total",
             "requests re-served on the current shard after a live migration",
         )
-        # Round-robin cursor for replica fan-out; itertools.count is
-        # effectively atomic under the GIL, so routing stays lock-free.
-        self._rr = itertools.count()
         # Batch sizes are counts, not seconds: buckets 1..~1M instead of
         # the latency range.
         self._h_batch_size = self.registry.histogram(
@@ -253,8 +230,10 @@ class AsyncServingFrontend:
         # builds a registry key.  These count *requests routed* (before
         # coalescing), so summing across shards must equal
         # frontend_requests_total — the mergeability check the tests pin.
-        self._per_shard = {
-            shard.index: (
+        # A router's shards are fixed at construction (reshard returns a
+        # new router), so this list is indexed by shard index.
+        self._per_shard = [
+            (
                 self.registry.histogram(
                     "frontend_shard_seconds",
                     "per-shard evaluation time within a batch",
@@ -267,72 +246,14 @@ class AsyncServingFrontend:
                 ),
             )
             for shard in router.shards
-        }
+        ]
         self._executor = ThreadPoolExecutor(
-            max_workers=max_workers or max(router.num_shards, 1),
-            thread_name_prefix="repro-serve",
+            max_workers=router.num_shards, thread_name_prefix="repro-serve"
         )
 
-    def _shard_instruments(self, index: int):
-        instruments = self._per_shard.get(index)
-        if instruments is None:  # a shard added after construction
-            instruments = self._per_shard[index] = (
-                self.registry.histogram(
-                    "frontend_shard_seconds",
-                    "per-shard evaluation time within a batch",
-                    shard=str(index),
-                ),
-                self.registry.counter(
-                    "frontend_shard_requests_total",
-                    "requests routed to the shard",
-                    shard=str(index),
-                ),
-            )
-        return instruments
-
     # ------------------------------------------------------------------ #
-    # Routing (replica fan-out, migration drain)
+    # Migration drain
     # ------------------------------------------------------------------ #
-
-    def _route(self, request: QueryRequest) -> int:
-        """The shard index to evaluate ``request`` on.
-
-        Coalescible reads of a replicated entry fan round-robin across
-        the primary and replica shards; everything else — writes,
-        heavy_hitters (needs the live learner, which replicas don't
-        carry), top_k, inner_product — goes to the primary.
-        """
-        shard_map = self.router.shard_map
-        if request.kind in _COALESCIBLE:
-            placements = shard_map.placements_of(request.name)
-            if len(placements) > 1:
-                return placements[next(self._rr) % len(placements)]
-        return shard_map.shard_of(request.name)
-
-    def _replica_fallback(
-        self, shard: Shard, name: str, version: int
-    ) -> Optional[Shard]:
-        """Version-checked fan-in for replica answers.
-
-        When ``shard`` is not ``name``'s primary, the snapshot version it
-        served is compared against the primary entry's live version; if
-        the replica trails (a refresh/extend landed on the primary and
-        propagation hasn't reached this shard yet), the primary shard is
-        returned so the caller recomputes there instead of serving stale.
-        """
-        primary_index = self.router.shard_map.shard_of(name)
-        if primary_index == shard.index:
-            return None
-        self._c_replica_reads.inc()
-        primary = self.router.shards[primary_index]
-        try:
-            current = primary.store[name].version
-        except KeyError:  # mid-migration; the snapshot we have is fine
-            return None
-        if current > version:
-            self._c_replica_stale.inc()
-            return primary
-        return None
 
     def _migration_target(
         self, shard: Shard, name: str, exc: Exception
@@ -340,9 +261,9 @@ class AsyncServingFrontend:
         """Where to retry after a miss caused by a live migration.
 
         A KeyError on the routed shard when the *current* map places the
-        name elsewhere means the entry moved (or its replica was dropped)
-        between routing and evaluation — the defining race of
-        ``ShardRouter.migrate``.  Any other failure returns None.
+        name elsewhere means the entry moved between routing and
+        evaluation — the defining race of ``ShardRouter.migrate``.  Any
+        other failure returns None.
         """
         if not isinstance(exc, KeyError):
             return None
@@ -387,6 +308,7 @@ class AsyncServingFrontend:
         self._c_requests.inc(len(indexed))
         self._h_batch_size.observe(max(len(indexed), 1))
         with trace.span("route", requests=len(indexed)):
+            shard_of = self.router.shard_map.shard_of
             by_shard: Dict[int, List[Tuple[int, QueryRequest]]] = {}
             group_items: List[Tuple[int, QueryRequest]] = []
             for index, request in indexed:
@@ -395,7 +317,7 @@ class AsyncServingFrontend:
                     # pool job instead of landing on any one shard.
                     group_items.append((index, request))
                     continue
-                by_shard.setdefault(self._route(request), []).append(
+                by_shard.setdefault(shard_of(request.name), []).append(
                     (index, request)
                 )
         loop = asyncio.get_running_loop()
@@ -566,7 +488,7 @@ class AsyncServingFrontend:
         self, shard: Shard, items: List[Tuple[int, QueryRequest]]
     ) -> List[QueryResult]:
         started = time.perf_counter()
-        histogram, counter = self._shard_instruments(shard.index)
+        histogram, counter = self._per_shard[shard.index]
         counter.inc(len(items))
         try:
             with span("coalesce", shard=shard.index):
@@ -577,10 +499,8 @@ class AsyncServingFrontend:
                     # along axis 0, so higher-dimensional query arrays
                     # (which the engine accepts) would split back
                     # incorrectly — serve those one by one instead.
-                    if (
-                        self.coalesce
-                        and request.kind in _COALESCIBLE
-                        and all(np.ndim(arg) <= 1 for arg in request.args)
+                    if request.kind in _COALESCIBLE and all(
+                        np.ndim(arg) <= 1 for arg in request.args
                     ):
                         groups.setdefault(
                             (request.name, request.kind), []
@@ -648,10 +568,6 @@ class AsyncServingFrontend:
                     version=version,
                 )
             version, table = shard.engine.table_versioned(request.name)
-            fallback = self._replica_fallback(shard, request.name, version)
-            if fallback is not None:
-                shard = fallback
-                version, table = shard.engine.table_versioned(request.name)
             start = time.perf_counter()
             try:
                 if request.kind == "inner_product":
@@ -712,13 +628,6 @@ class AsyncServingFrontend:
                 QueryResult(index=i, name=name, kind=kind, error=str(exc))
                 for i, _ in group
             ]
-        fallback = self._replica_fallback(shard, name, version)
-        if fallback is not None:
-            shard = fallback
-            try:
-                version, table = shard.engine.table_versioned(name)
-            except _REQUEST_ERRORS:
-                return [self._serve_one(shard, i, r) for i, r in group]
         # Broadcast each request's own arguments against each other BEFORE
         # concatenating across requests: a request like (scalar a, array b)
         # must occupy the same positions in every stacked argument, or

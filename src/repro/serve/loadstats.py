@@ -15,11 +15,9 @@ decisions:
 
 - :class:`Rebalancer` is the policy object: given a tracker and a
   :class:`~repro.serve.router.ShardRouter`, it migrates hot entries off
-  crowded shards onto the least-loaded one, replicates *read-hot*
-  entries across shards for round-robin fan-out, and drops replicas of
-  entries that cooled off.  Promotion and demotion use different
-  thresholds (hysteresis), so an entry hovering at the boundary does not
-  ping-pong between shards.
+  crowded shards onto the least-loaded one.  Promotion and demotion use
+  different thresholds (hysteresis), so an entry hovering at the
+  boundary does not ping-pong between shards.
 
 The decayed-count math: a count ``C`` folded ``dt`` seconds after the
 previous fold first decays by ``0.5 ** (dt / half_life)`` and then
@@ -195,20 +193,17 @@ class HotnessTracker:
 class RebalanceAction:
     """One placement change the rebalancer made (or would make)."""
 
-    action: str  # "migrate" | "replicate" | "drop_replica"
+    action: str  # "migrate"
     name: str
     source: int
     target: int
     qps: float
 
     def describe(self) -> str:
-        if self.action == "migrate":
-            verb = f"migrate {self.name}: shard {self.source} -> {self.target}"
-        elif self.action == "replicate":
-            verb = f"replicate {self.name}: shard {self.source} -> +{self.target}"
-        else:
-            verb = f"drop replica of {self.name} on shard {self.target}"
-        return f"{verb} ({self.qps:.2f} qps)"
+        return (
+            f"{self.action} {self.name}: shard {self.source} -> {self.target} "
+            f"({self.qps:.2f} qps)"
+        )
 
 
 @dataclass
@@ -218,36 +213,29 @@ class Rebalancer:
     An entry *promotes* (becomes migration-eligible) above ``hot_qps``
     and *demotes* only below ``cool_qps`` — the gap is the hysteresis
     band that stops boundary entries from ping-ponging.  Promoted entries
-    migrate off a shard when it carries competing hot load and a
-    less-loaded shard exists.  Entries above ``replicate_qps`` —
-    read-hot enough that even a dedicated shard is a bottleneck — gain
-    read replicas on the least-loaded other shards.  Demoted entries
-    shed their replicas.
+    migrate off a shard when it carries competing load and a less-loaded
+    shard exists.
 
     The policy only *reads* tracker state and calls the router's public
-    ``migrate`` / ``replicate`` / ``drop_replica``; all locking lives in
-    the router, so a rebalance pass can run concurrently with serving.
+    ``migrate``; all locking lives in the router, so a rebalance pass can
+    run concurrently with serving.
     """
 
     tracker: HotnessTracker
     hot_qps: float = 1.0
     cool_qps: Optional[float] = None
-    replicate_qps: Optional[float] = None
-    max_replicas: Optional[int] = None
-    _promoted: Dict[str, bool] = field(default_factory=dict)
+    _promoted: Dict[str, bool] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
         if self.cool_qps is None:
             self.cool_qps = self.hot_qps / 2.0
-        if self.replicate_qps is None:
-            self.replicate_qps = self.hot_qps * 2.0
         if self.cool_qps > self.hot_qps:
             raise ValueError("cool_qps must not exceed hot_qps (hysteresis)")
 
     # ------------------------------------------------------------------ #
 
     def _shard_loads(self, router) -> Dict[int, float]:
-        """Estimated primary-placement QPS per shard."""
+        """Estimated QPS per shard."""
         loads = {index: 0.0 for index in range(router.num_shards)}
         for name in router.names():
             loads[router.shard_map.shard_of(name)] += self.tracker.qps(name)
@@ -262,8 +250,7 @@ class Rebalancer:
         if fold:
             self.tracker.fold(router.registry)
         actions: List[RebalanceAction] = []
-        names = router.names()
-        rates = {name: self.tracker.qps(name) for name in names}
+        rates = {name: self.tracker.qps(name) for name in router.names()}
 
         # Promotion / demotion with hysteresis.
         for name, qps in rates.items():
@@ -295,52 +282,4 @@ class Rebalancer:
                         "migrate", name, source, target, rates[name]
                     )
                 )
-
-            # Replicate: entries hot enough to saturate a dedicated
-            # shard fan reads out; fill from the least-loaded shards.
-            for name in hot:
-                if rates[name] < float(self.replicate_qps):
-                    continue
-                budget = (
-                    router.num_shards - 1
-                    if self.max_replicas is None
-                    else min(self.max_replicas, router.num_shards - 1)
-                )
-                have = router.shard_map.replicas_of(name)
-                if len(have) >= budget:
-                    continue
-                loads = self._shard_loads(router)
-                primary = router.shard_map.shard_of(name)
-                candidates = sorted(
-                    (
-                        index
-                        for index in loads
-                        if index != primary and index not in have
-                    ),
-                    key=lambda index: loads[index],
-                )
-                for index in candidates[: budget - len(have)]:
-                    for added in router.replicate(name, index):
-                        actions.append(
-                            RebalanceAction(
-                                "replicate", name, primary, added, rates[name]
-                            )
-                        )
-
-        # Demote: cooled entries shed their replicas (their primary
-        # placement stays — moving cold entries buys nothing).
-        for name in names:
-            if name in self._promoted:
-                continue
-            for index in list(router.shard_map.replicas_of(name)):
-                if router.drop_replica(name, index):
-                    actions.append(
-                        RebalanceAction(
-                            "drop_replica",
-                            name,
-                            router.shard_map.shard_of(name),
-                            index,
-                            rates.get(name, 0.0),
-                        )
-                    )
         return actions

@@ -77,7 +77,7 @@ import uuid
 import zipfile
 import zlib
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -144,10 +144,12 @@ STORE_SCHEMA_VERSION = 5
 MMAP_SCHEMA_VERSION = 4
 NPZ_SCHEMA_VERSION = 3
 SHARDED_FORMAT = "repro-synopsis-store-sharded"
-# Sharded schema 2: the shard map carries replica sets and a map version
-# (skew-aware placement).  Schema-1 parent manifests still load — the
-# new fields default to empty — and loaders older than the bump refuse
-# newer stores cleanly, exactly like the per-store schema history.
+# Sharded schema 2: the shard map carries a map version.  Schema-1 parent
+# manifests still load with version 0, and loaders older than the bump
+# refuse newer stores cleanly, exactly like the per-store schema history.
+# Schema-2 maps saved while read replicas existed also hold a
+# ``replicas`` key; loads ignore it (the primaries hold every payload)
+# and saves no longer write it.
 # Sharded schema 3: the parent manifest may carry a router-level
 # ``"cohorts"`` table (members may span shards).  Schema 1-2 manifests
 # load unchanged with no cohorts.
@@ -278,34 +280,22 @@ def _write_store_contents(
     target: Path,
     layout: str = "mmap",
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-    exclude: Optional[Set[str]] = None,
 ) -> None:
     """Write one store's payloads + manifest into ``target`` (no atomicity).
 
     Callers own crash safety: ``target`` must be inside a temporary
-    directory that is atomically published afterwards.  Names in
-    ``exclude`` are skipped — ``save_sharded`` uses this to keep replica
-    copies out of shard directories, since replicas are rebuilt from
-    the primary (plus the map's replica sets) on load.
+    directory that is atomically published afterwards.
     """
     _check_layout(layout)
     if layout == "npz":
-        _write_store_contents_npz(store, target, exclude)
+        _write_store_contents_npz(store, target)
     else:
-        _write_store_contents_mmap(store, target, segment_size, exclude)
+        _write_store_contents_mmap(store, target, segment_size)
 
 
-def _store_names(store: SynopsisStore, exclude: Optional[Set[str]]) -> List[str]:
-    if not exclude:
-        return store.names()
-    return [name for name in store.names() if name not in exclude]
-
-
-def _saveable_cohorts(
-    store: SynopsisStore, exclude: Optional[Set[str]]
-) -> Dict[str, List[str]]:
+def _saveable_cohorts(store: SynopsisStore) -> Dict[str, List[str]]:
     """The store's cohort table restricted to members this save writes."""
-    saved = set(_store_names(store, exclude))
+    saved = set(store.names())
     cohorts = {}
     for cohort, members in store.cohorts().items():
         kept = [name for name in members if name in saved]
@@ -314,13 +304,11 @@ def _saveable_cohorts(
     return cohorts
 
 
-def _write_store_contents_npz(
-    store: SynopsisStore, target: Path, exclude: Optional[Set[str]] = None
-) -> None:
+def _write_store_contents_npz(store: SynopsisStore, target: Path) -> None:
     """The legacy per-entry-npz layout, stamped at schema 3."""
     store_uid = uuid.uuid4().hex
     entries = []
-    for index, name in enumerate(_store_names(store, exclude)):
+    for index, name in enumerate(store.names()):
         entry = store[name]
         entry.hydrate()
         payload_name = f"entry-{index:04d}.npz"
@@ -333,7 +321,7 @@ def _write_store_contents_npz(
         "entries": entries,
         "last_versions": dict(store._last_versions),
     }
-    cohorts = _saveable_cohorts(store, exclude)
+    cohorts = _saveable_cohorts(store)
     if cohorts:
         # Additive key: schema stays 3, older readers ignore it.
         manifest["cohorts"] = cohorts
@@ -342,17 +330,14 @@ def _write_store_contents_npz(
 
 
 def _write_store_contents_mmap(
-    store: SynopsisStore,
-    target: Path,
-    segment_size: int,
-    exclude: Optional[Set[str]] = None,
+    store: SynopsisStore, target: Path, segment_size: int
 ) -> None:
     """The schema-4 segmented mmap layout."""
     segment_size = int(segment_size)
     if segment_size < 1:
         raise ValueError(f"segment_size must be >= 1, got {segment_size}")
     store_uid = uuid.uuid4().hex
-    names = _store_names(store, exclude)
+    names = store.names()
     segments = []
     for seg_index, start in enumerate(range(0, len(names), segment_size)):
         chunk = names[start : start + segment_size]
@@ -382,7 +367,7 @@ def _write_store_contents_mmap(
                 "names": chunk,
             }
         )
-    cohorts = _saveable_cohorts(store, exclude)
+    cohorts = _saveable_cohorts(store)
     manifest = {
         "format": STORE_FORMAT,
         # Cohort-less stores stamp schema 4 so readers predating the
@@ -496,15 +481,6 @@ def save_sharded(
             # them all in index order cannot deadlock against them.
             for shard in router.shards:
                 stack.enter_context(shard.write_lock)
-            # Replica copies stay out of the shard directories: the map's
-            # replica sets are the source of truth, and load_sharded
-            # re-installs replicas from each primary.  Persisting the
-            # copies too would double-store payloads and, worse, let a
-            # stale replica resurrect as a primary under a future map.
-            replicas_by_shard: Dict[int, Set[str]] = {}
-            for name, replicas in router.shard_map.replica_sets().items():
-                for index in replicas:
-                    replicas_by_shard.setdefault(index, set()).add(name)
             shard_dirs = []
             for shard in router.shards:
                 shard_dir = f"shard-{shard.index:04d}"
@@ -514,7 +490,6 @@ def save_sharded(
                     tmp / shard_dir,
                     layout=layout,
                     segment_size=segment_size,
-                    exclude=replicas_by_shard.get(shard.index),
                 )
                 shard_dirs.append(shard_dir)
             cohorts = {

@@ -8,14 +8,13 @@ stay hydrated, cold ones are *cooled* back to their lazy hydrator
 (:meth:`~repro.serve.store.StoreEntry.cool`) whenever the watched
 stores' combined resident payload bytes exceed ``max_resident_bytes``.
 
-Victim selection consults the same notion of "hot" the PR 8 rebalancer
+Victim selection consults the same notion of "hot" the rebalancer
 uses: when a :class:`~repro.serve.loadstats.HotnessTracker` is attached,
 the coldest entry by decayed QPS cools first; without one, plain LRU
 order over hydration touches.  Either way only *evictable* entries ever
-enter the candidate set (streaming-backed, replica-pinned, and
-in-memory-built entries cannot cool), so a budget smaller than the
-non-evictable mass converges to "everything evictable cooled" rather
-than spinning.
+enter the candidate set (streaming-backed and in-memory-built entries
+cannot cool), so a budget smaller than the non-evictable mass converges
+to "everything evictable cooled" rather than spinning.
 
 Lock order (matching the store's documented discipline): the manager's
 own lock is a leaf taken only to mutate the LRU; :meth:`enforce` picks a
@@ -125,7 +124,7 @@ class ResidencyManager:
         """Cool entries until the budget holds; returns entries cooled.
 
         Stops early when no evictable candidates remain (the residual
-        resident mass is streaming/pinned/in-memory entries that cannot
+        resident mass is streaming/in-memory entries that cannot
         cool).  A candidate whose ``cool()`` returns 0 — rehydrated with
         a new non-evictable identity, or removed — is simply dropped
         from the LRU and the loop continues.

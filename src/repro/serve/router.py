@@ -77,17 +77,13 @@ class ShardMap:
     across ``remove``: re-registering a name lands on its original shard,
     matching the store's never-repeat version discipline.
 
-    Schema 2 adds two skew-aware placement fields (schema-1 payloads
-    still load, with both defaulted):
-
-    * **replica sets** — for each read-hot name, the shard indices that
-      hold a read-only copy next to the primary assignment; the front
-      end fans reads across ``[primary, *replicas]``.
-    * **version** — a monotone placement generation, bumped on every
-      effective mutation (targeted migration, replica add/drop, new
-      assignment), so a :class:`~repro.serve.workers.ProcessShardRouter`
-      can detect that the persisted map changed and reload its workers
-      without diffing the whole map.
+    Schema 2 adds ``map_version``, a monotone placement generation
+    bumped on every effective mutation (new assignment, targeted
+    migration), so a :class:`~repro.serve.workers.ProcessShardRouter`
+    can detect that the persisted map changed and reload its workers.
+    Schema-1 payloads load with version 0.  Schema-2 payloads written
+    while read replicas existed also carry a ``replicas`` key; it is
+    ignored, because the primaries always held every payload.
     """
 
     kind = "shard_map"
@@ -97,7 +93,6 @@ class ShardMap:
         self,
         num_shards: int,
         assignments: Optional[Dict[str, int]] = None,
-        replicas: Optional[Dict[str, Sequence[int]]] = None,
         version: int = 0,
     ) -> None:
         if num_shards < 1:
@@ -107,17 +102,6 @@ class ShardMap:
         self._assignments: Dict[str, int] = {}
         for name, shard in (assignments or {}).items():
             self._assignments[str(name)] = self._check_shard(name, shard)
-        self._replicas: Dict[str, List[int]] = {}
-        for name, shards in (replicas or {}).items():
-            name = str(name)
-            primary = self.shard_of(name)
-            kept: List[int] = []
-            for shard in shards:
-                shard = self._check_shard(name, shard)
-                if shard != primary and shard not in kept:
-                    kept.append(shard)
-            if kept:
-                self._replicas[name] = kept
 
     def _check_shard(self, name: str, shard: Any) -> int:
         shard = int(shard)
@@ -161,52 +145,11 @@ class ShardMap:
         return placed
 
     def assign_to(self, name: str, shard: int) -> None:
-        """Record an explicit placement for ``name`` (the migration path).
-
-        The target shard is removed from the name's replica set first: a
-        shard never holds both the primary and a replica of one entry.
-        """
+        """Record an explicit placement for ``name`` (the migration path)."""
         shard = self._check_shard(name, shard)
-        self.drop_replica(name, shard)
         if self._assignments.get(name) != shard:
             self._assignments[name] = shard
             self.version += 1
-
-    def replicas_of(self, name: str) -> List[int]:
-        """Shards holding a read replica of ``name`` (primary excluded)."""
-        return list(self._replicas.get(name, ()))
-
-    def placements_of(self, name: str) -> List[int]:
-        """Every shard serving reads of ``name``: primary first, then
-        replicas in registration order."""
-        return [self.shard_of(name), *self._replicas.get(name, ())]
-
-    def add_replica(self, name: str, shard: int) -> bool:
-        """Record a read replica; returns False for the primary shard or
-        an already-recorded replica."""
-        shard = self._check_shard(name, shard)
-        if shard == self.shard_of(name):
-            return False
-        existing = self._replicas.setdefault(name, [])
-        if shard in existing:
-            return False
-        existing.append(shard)
-        self.version += 1
-        return True
-
-    def drop_replica(self, name: str, shard: int) -> bool:
-        """Forget a recorded replica; returns whether one was recorded."""
-        existing = self._replicas.get(name)
-        if existing is None or shard not in existing:
-            return False
-        existing.remove(shard)
-        if not existing:
-            del self._replicas[name]
-        self.version += 1
-        return True
-
-    def replica_sets(self) -> Dict[str, List[int]]:
-        return {name: list(shards) for name, shards in self._replicas.items()}
 
     def names(self) -> List[str]:
         """Assigned names in assignment order (the router's global order)."""
@@ -228,7 +171,6 @@ class ShardMap:
             "schema": self.schema_version,
             "num_shards": self.num_shards,
             "assignments": dict(self._assignments),
-            "replicas": self.replica_sets(),
             "map_version": self.version,
         }
 
@@ -238,47 +180,11 @@ class ShardMap:
         assignments = payload.get("assignments", {})
         if not isinstance(assignments, dict):
             raise ValueError("shard map assignments must be a mapping")
-        replicas = payload.get("replicas", {})
-        if not isinstance(replicas, dict):
-            raise ValueError("shard map replicas must be a mapping")
         return cls(
             int(payload["num_shards"]),
             assignments,
-            replicas=replicas,
             version=int(payload.get("map_version", 0)),
         )
-
-
-def _replica_entry(primary: StoreEntry) -> StoreEntry:
-    """A read-only copy of ``primary`` for installation on another shard.
-
-    The replica shares the primary's (immutable-per-version)
-    ``BuildResult``, so it costs no payload memory of its own; a replica
-    of a lazily-loaded primary delegates hydration to the primary, which
-    fills the shared result for both.  The learner stays with the
-    primary — writes (refresh / extend) are primary-first, and
-    :meth:`ShardRouter._propagate` copies the bumped ``(result, version)``
-    pair onto each replica afterwards.
-
-    Both sides are pinned against residency cooling: the shared result
-    means cooling either copy would silently drop the payload under the
-    other store, whose hydration state still claims it is resident.  The
-    primary unpins when its last replica is dropped.
-    """
-    replica = StoreEntry(
-        name=primary.name,
-        result=primary.result,
-        version=primary.version,
-        learner=None,
-        built_at_samples=primary.built_at_samples,
-        plan=primary.plan,
-        frozen_meta=primary.frozen_meta,
-    )
-    replica.pinned = True
-    primary.pinned = True
-    if not primary.is_hydrated:
-        replica.hydrator = lambda _entry, _primary=primary: _primary.hydrate()
-    return replica
 
 
 @dataclass
@@ -336,13 +242,7 @@ class ShardRouter:
         )
         self._c_migrated = self.registry.counter(
             "router_entries_migrated_total",
-            "entries whose primary shard changed (reshard or live migrate)",
-        )
-        self._c_replicated = self.registry.counter(
-            "router_entries_replicated_total", "read replicas installed"
-        )
-        self._c_replica_drops = self.registry.counter(
-            "router_replicas_dropped_total", "read replicas removed"
+            "entries whose shard changed (reshard or live migrate)",
         )
         # Router-level cohorts: members may span shards, so the name
         # registry lives here, not in any single shard store.
@@ -408,11 +308,6 @@ class ShardRouter:
                     )
                 else:
                     router.shard_map.assign(name)
-        if shard_map is not None:
-            # Replica copies are never persisted with the shard stores
-            # (each shard dir holds only the entries it owns), so rebuild
-            # them here from the map's replica sets.
-            router._install_replicas()
         # Adopt store-level cohorts whose members all resolve — the
         # one-shard plain-store load path; a sharded load layers the
         # parent manifest's router-level cohorts on top.
@@ -421,19 +316,6 @@ class ShardRouter:
                 if all(member in router for member in members):
                     router.define_cohort(cohort, members)
         return router
-
-    def _install_replicas(self) -> None:
-        """Materialize the map's replica sets as store entries."""
-        for name, replicas in self.shard_map.replica_sets().items():
-            primary_shard = self.shards[self.shard_map.shard_of(name)]
-            if name not in primary_shard.store:
-                continue
-            entry = primary_shard.store[name]
-            floor = primary_shard.store._last_versions.get(name, entry.version)
-            for index in replicas:
-                store = self.shards[index].store
-                if name not in store:
-                    store._adopt(_replica_entry(entry), last_version=floor)
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -475,7 +357,6 @@ class ShardRouter:
         with shard.write_lock:
             self.shard_map.assign(name)
             entry = shard.store.register(name, data, family=family, k=k, **options)
-        self._propagate(name)
         return entry
 
     def register_stream(
@@ -492,7 +373,6 @@ class ShardRouter:
             entry = shard.store.register_stream(
                 name, learner, family=family, k=k, **options
             )
-        self._propagate(name)
         return entry
 
     def register_auto(
@@ -511,7 +391,6 @@ class ShardRouter:
         with shard.write_lock:
             self.shard_map.assign(name)
             entry = shard.store.register_auto(name, data, budget, **plan_options)
-        self._propagate(name)
         return entry
 
     def register_stream_auto(
@@ -528,7 +407,6 @@ class ShardRouter:
             entry = shard.store.register_stream_auto(
                 name, learner, budget, **plan_options
             )
-        self._propagate(name)
         return entry
 
     def register_many(
@@ -574,8 +452,6 @@ class ShardRouter:
                 store = self.shards[index].store
                 for name in group:
                     entries[name] = store._install_planned(name, plans[name])
-        for name in names:
-            self._propagate(name)
         if cohort is not None:
             self.define_cohort(cohort, names)
         return [entries[name] for name in names]
@@ -588,21 +464,17 @@ class ShardRouter:
         shard = self._shard_for_registered(name)
         with shard.write_lock:
             entry = shard.store.extend(name, samples)
-        self._propagate(name)
         return entry
 
     def refresh(self, name: str) -> StoreEntry:
         shard = self._shard_for_registered(name)
         with shard.write_lock:
             entry = shard.store.refresh(name)
-        self._propagate(name)
         return entry
 
     def remove(self, name: str) -> None:
-        """Remove an entry and its replicas (the assignment stays sticky)."""
+        """Remove an entry (the assignment stays sticky)."""
         shard = self._shard_for_registered(name)
-        for index in self.shard_map.replicas_of(name):
-            self.drop_replica(name, index)
         with shard.write_lock:
             shard.store.remove(name)
         with self._cohort_lock:
@@ -618,57 +490,6 @@ class ShardRouter:
         # too (the front end's request counter), so exposition does not
         # accumulate series for dead entries.
         self.registry.drop(entry=name)
-
-    def _propagate(self, name: str) -> int:
-        """Copy the primary's current ``(result, version)`` onto each replica.
-
-        Writes are primary-first: the caller has already released the
-        primary's write lock when this runs, so a replica briefly serves
-        the previous version — the front end's version-checked fan-in
-        (compare against the primary's live version, fall back on
-        staleness) covers exactly that window.  Only one shard lock is
-        held at a time, so propagation cannot deadlock against another
-        entry propagating in the opposite direction.
-        """
-        replicas = self.shard_map.replicas_of(name)
-        if not replicas:
-            return 0
-        primary_store = self.shard_of(name).store
-        with primary_store._lock:
-            primary = primary_store._entries.get(name)
-            if primary is None:
-                return 0
-            state = (
-                primary.result,
-                primary.version,
-                primary.built_at_samples,
-                primary.plan,
-                primary.is_hydrated,
-            )
-        result, version, built_at, plan, hydrated = state
-        synced = 0
-        for index in replicas:
-            shard = self.shards[index]
-            with shard.write_lock, shard.store._lock:
-                replica = shard.store._entries.get(name)
-                if replica is None or (
-                    replica.version == version and replica.result is result
-                ):
-                    continue
-                replica.result = result
-                replica.version = version
-                replica.built_at_samples = built_at
-                replica.plan = plan
-                replica.hydrator = (
-                    None
-                    if hydrated
-                    else lambda _entry, _primary=primary: _primary.hydrate()
-                )
-                shard.store._last_versions[name] = max(
-                    shard.store._last_versions.get(name, version), version
-                )
-                synced += 1
-        return synced
 
     def _shard_for_registered(self, name: str) -> Shard:
         shard = self.shard_of(name)
@@ -687,9 +508,7 @@ class ShardRouter:
         return name in self.shard_of(name).store
 
     def __len__(self) -> int:
-        # Count entries, not copies: replicated names appear in several
-        # shard stores but are one logical entry.
-        return len(self.names())
+        return sum(len(shard.store) for shard in self.shards)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names())
@@ -706,12 +525,9 @@ class ShardRouter:
         return [self[name].describe() for name in self.names()]
 
     def describe(self, name: str) -> Dict[str, Any]:
-        """One entry's metadata plus its shard index (and replicas)."""
+        """One entry's metadata plus its shard index."""
         meta = self[name].describe()
         meta["shard"] = self.shard_map.shard_of(name)
-        replicas = self.shard_map.replicas_of(name)
-        if replicas:
-            meta["replicas"] = replicas
         return meta
 
     def residency(self) -> Dict[str, int]:
@@ -917,7 +733,7 @@ class ShardRouter:
         return value, versions
 
     # ------------------------------------------------------------------ #
-    # Live migration and read replication (skew-aware placement)
+    # Live migration
     # ------------------------------------------------------------------ #
 
     def migrate(self, names: Union[str, Sequence[str]], shard: int) -> List[str]:
@@ -932,10 +748,8 @@ class ShardRouter:
         removal gets a KeyError, which the front end answers by re-routing
         against the *current* map — so no query is ever dropped.
 
-        A target shard holding a read replica of the name promotes it:
-        the replica record is dropped and the adopted entry becomes the
-        primary.  Names already on ``shard`` are skipped; the returned
-        list holds the names actually moved.
+        Names already on ``shard`` are skipped; the returned list holds
+        the names actually moved.
         """
         if not 0 <= shard < self.num_shards:
             raise ValueError(
@@ -958,70 +772,9 @@ class ShardRouter:
                 # drain against the source copy (or re-route on miss).
                 self.shard_map.assign_to(name, shard)
                 source.store.remove(name)
-                # The entry object moved with its pin; recompute it from
-                # the surviving replica set (assign_to just dropped any
-                # replica record on the target shard).
-                entry.pinned = bool(self.shard_map.replicas_of(name))
             moved.append(name)
             self._c_migrated.inc()
         return moved
-
-    def replicate(
-        self, name: str, shards: Union[int, Sequence[int]]
-    ) -> List[int]:
-        """Install read replicas of ``name`` on the given shards.
-
-        Replicas serve the coalescible read kinds (range_sum /
-        range_mean / point_mass / cdf / quantile) round-robin next to the
-        primary; writes stay primary-first and propagate (see
-        :meth:`_propagate`).  The primary shard and already-replicated
-        shards are skipped; returns the shard indices actually added.
-        """
-        added: List[int] = []
-        for index in [shards] if isinstance(shards, int) else list(shards):
-            if not 0 <= index < self.num_shards:
-                raise ValueError(
-                    f"replica shard {index} is outside [0, {self.num_shards})"
-                )
-            source = self._shard_for_registered(name)
-            if index == source.index or index in self.shard_map.replicas_of(name):
-                continue
-            target = self.shards[index]
-            first, second = sorted((source, target), key=lambda s: s.index)
-            with first.write_lock, second.write_lock:
-                entry = source.store[name]
-                floor = source.store._last_versions.get(name, entry.version)
-                target.store._adopt(_replica_entry(entry), last_version=floor)
-                self.shard_map.add_replica(name, index)
-            added.append(index)
-            self._c_replicated.inc()
-        return added
-
-    def drop_replica(self, name: str, shard: int) -> bool:
-        """Remove one read replica of ``name``; returns whether it existed."""
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(
-                f"replica shard {shard} is outside [0, {self.num_shards})"
-            )
-        target = self.shards[shard]
-        with target.write_lock:
-            if not self.shard_map.drop_replica(name, shard):
-                return False
-            if name in target.store:
-                target.store.remove(name)
-        if not self.shard_map.replicas_of(name):
-            # Last replica gone: the primary's payload is sole-owned
-            # again, so it becomes eligible for residency cooling.
-            primary_store = self.shard_of(name).store
-            with primary_store._lock:
-                primary = primary_store._entries.get(name)
-                if primary is not None:
-                    primary.pinned = False
-        self._c_replica_drops.inc()
-        return True
-
-    def replicas_of(self, name: str) -> List[int]:
-        return self.shard_map.replicas_of(name)
 
     # ------------------------------------------------------------------ #
     # Resharding: a deliberate migration
@@ -1037,8 +790,7 @@ class ShardRouter:
         growing the shard count moves nothing, shrinking it moves only
         the entries whose shard disappeared (re-derived from the new
         count's stable hash) — so a reshard never scrambles placements
-        the rebalancer (or an operator) chose deliberately.  Replica sets
-        survive too, minus replicas whose shard no longer exists.
+        the rebalancer (or an operator) chose deliberately.
         """
         new = ShardRouter(
             num_shards,
@@ -1068,12 +820,6 @@ class ShardRouter:
                 index = self._sticky_index(name, num_shards)
                 new.shard_map.assign_to(name, index)
                 new.shards[index].store._last_versions[name] = floor
-        for name, replicas in self.shard_map.replica_sets().items():
-            if name not in new:
-                continue
-            kept = [index for index in replicas if index < num_shards]
-            if kept:
-                new.replicate(name, kept)
         return new
 
     def _sticky_index(self, name: str, num_shards: int) -> int:

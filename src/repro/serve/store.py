@@ -100,11 +100,6 @@ class StoreEntry:
     rehydrator: Optional[Callable[["StoreEntry"], None]] = field(
         default=None, repr=False, compare=False
     )
-    # Pinned entries never cool.  The router pins replica entries and
-    # their primaries: both alias one BuildResult, so cooling either
-    # side would clear the payload out from under the other store's
-    # hydration state.
-    pinned: bool = field(default=False, repr=False, compare=False)
     frozen_meta: Optional[Dict[str, Any]] = field(
         default=None, repr=False, compare=False
     )
@@ -128,14 +123,11 @@ class StoreEntry:
         """Whether :meth:`cool` can demote this entry to its lazy payload.
 
         Streaming entries never cool (re-running the persisted hydrator
-        would resurrect a stale learner over the live one), an entry
-        built in memory has no payload on disk to fall back to, and
-        pinned entries (replicas and replicated primaries) share their
-        payload with another store.
+        would resurrect a stale learner over the live one), and an entry
+        built in memory has no payload on disk to fall back to.
         """
         return (
-            not self.pinned
-            and self.learner is None
+            self.learner is None
             and self.rehydrator is not None
             and self.hydrator is None
             and self.result.synopsis is not None
@@ -163,9 +155,7 @@ class StoreEntry:
 
         Returns the payload bytes freed (0 when the entry is not
         evictable).  The synopsis slot is cleared *in place* on the
-        shared :class:`BuildResult` — replica entries alias the same
-        result object, so swapping in a copy here would break the
-        aliasing that lets a primary hydration serve its replicas.
+        entry's :class:`BuildResult`, the slot the rehydrator refills.
         Callers must serialize against readers (the store does, under
         its lock) so no snapshot can observe the half-cooled state.
         """
@@ -519,7 +509,7 @@ class SynopsisStore:
             return
         self._resident_add(entry.result.stored_numbers * BYTES_PER_NUMBER)
         residency = self._residency
-        if residency is not None and entry.learner is None and not entry.pinned:
+        if residency is not None and entry.learner is None:
             residency.note(self, entry.name)
 
     # ------------------------------------------------------------------ #

@@ -41,7 +41,6 @@ Design points:
 
 from __future__ import annotations
 
-import itertools
 import json
 import multiprocessing
 import multiprocessing.connection
@@ -52,7 +51,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry, get_default_registry
-from .frontend import _COALESCIBLE, _GROUP_KINDS, QueryRequest, QueryResult
+from .frontend import _GROUP_KINDS, QueryRequest, QueryResult
 from .persistence import (
     StoreCorruptionError,
     _parse_cohorts,
@@ -212,7 +211,6 @@ def _worker_main(
     conn: multiprocessing.connection.Connection,
     store_dir: str,
     cache_size: int,
-    coalesce: bool,
 ) -> None:
     """Entry point of one worker process.
 
@@ -220,9 +218,9 @@ def _worker_main(
     builds a local router + front end over it, acknowledges readiness,
     then answers commands until ``shutdown`` or EOF.  Sharded stores
     load through :func:`load_sharded`, so the worker's router carries
-    the *persisted* shard map — sticky assignments and replica sets
-    included — and a ``reload`` after an external rebalance picks the
-    new placement up from disk.
+    the *persisted* shard map — sticky assignments included — and a
+    ``reload`` after an external rebalance picks the new placement up
+    from disk.
     """
     import os
 
@@ -237,7 +235,7 @@ def _worker_main(
         else:
             store = load_store(path, lazy=True)
             router = ShardRouter.from_stores([store], cache_size=cache_size)
-        frontend = AsyncServingFrontend(router, coalesce=coalesce)
+        frontend = AsyncServingFrontend(router)
         return router, frontend
 
     try:
@@ -337,6 +335,14 @@ def _worker_main(
     conn.close()
 
 
+def _map_assignments(shard_map: Dict[str, Any]) -> Dict[str, int]:
+    """A persisted shard map's ``{name: shard}`` assignments."""
+    return {
+        str(name): int(shard)
+        for name, shard in shard_map.get("assignments", {}).items()
+    }
+
+
 class _Worker:
     """Parent-side handle on one worker process."""
 
@@ -369,8 +375,8 @@ class ProcessShardRouter:
     workers:
         Worker process count; defaults to (and is clamped to) the shard
         count, each worker owning a contiguous slice of the shards.
-    cache_size / coalesce:
-        Forwarded to each worker's engines / front end.
+    cache_size:
+        Forwarded to each worker's engines.
     max_restarts:
         Per-worker crash budget: a worker that dies is respawned from
         the (immutable) store directory and its in-flight sub-batch
@@ -383,12 +389,10 @@ class ProcessShardRouter:
         store_dir: Union[str, Path],
         workers: Optional[int] = None,
         cache_size: int = 32,
-        coalesce: bool = True,
         max_restarts: int = 3,
     ) -> None:
         self.store_dir = Path(store_dir)
         self.cache_size = int(cache_size)
-        self.coalesce = bool(coalesce)
         self.max_restarts = int(max_restarts)
         self.registry = MetricsRegistry()
         self._c_batches = self.registry.counter(
@@ -408,9 +412,6 @@ class ProcessShardRouter:
         self.num_workers = min(requested, shard_count)
         self._ctx = multiprocessing.get_context("spawn")
         self._compute_worker_of_shard()
-        # Round-robin cursor for replica fan-out across workers (mirrors
-        # the in-process front end's).
-        self._rr = itertools.count()
         self._workers = [_Worker(w) for w in range(self.num_workers)]
         try:
             for worker in self._workers:
@@ -441,16 +442,7 @@ class ProcessShardRouter:
             self._shard_dirs = [
                 self.store_dir / d for d in manifest["shard_dirs"]
             ]
-            shard_map = manifest["shard_map"]
-            assignments = shard_map.get("assignments", {})
-            self._shard_of_name = {
-                str(name): int(shard) for name, shard in assignments.items()
-            }
-            self._replicas_of_name = {
-                str(name): [int(index) for index in replicas]
-                for name, replicas in shard_map.get("replicas", {}).items()
-                if replicas
-            }
+            self._shard_of_name = _map_assignments(manifest["shard_map"])
             self.num_shards = int(manifest["num_shards"])
             name_order = list(self._shard_of_name)
         else:
@@ -459,12 +451,11 @@ class ProcessShardRouter:
             )
             self._shard_dirs = [self.store_dir]
             self._shard_of_name = {}
-            self._replicas_of_name = {}
             self.num_shards = 1
             name_order = []
-        self._map_fingerprint = self._fingerprint(
-            self._shard_of_name, self._replicas_of_name
-        )
+        # A copy: maybe_reload() compares the persisted map against it,
+        # and _shard_of_name also gains unmapped names below.
+        self._loaded_assignments = dict(self._shard_of_name)
         self._records: Dict[str, Tuple[int, Dict[str, Any], Optional[BuildPlan]]] = {}
         for shard_index, shard_dir in enumerate(self._shard_dirs):
             for record in iter_manifest_entries(shard_dir):
@@ -558,34 +549,13 @@ class ProcessShardRouter:
         return shard
 
     def _route_shard(self, request: QueryRequest) -> int:
-        """Replica-aware routing: coalescible reads of a replicated
-        entry fan round-robin across primary + replica shards (hence
-        across worker processes); everything else goes to the primary.
-        Group-by kinds go to the first member's shard — every worker
-        opens all shard directories, so that worker's local router can
-        resolve the whole member set."""
+        """The shard owning ``request``'s entry.  Group-by kinds go to the
+        first member's shard — every worker opens all shard directories,
+        so that worker's local router can resolve the whole member set."""
         if request.kind in _GROUP_KINDS:
             members = self.resolve_members(request.name)
             return self._shard_index(members[0]) if members else 0
-        replicas = self._replicas_of_name.get(request.name)
-        if replicas and request.kind in _COALESCIBLE:
-            placements = [self._shard_index(request.name), *replicas]
-            return placements[next(self._rr) % len(placements)]
         return self._shard_index(request.name)
-
-    @staticmethod
-    def _fingerprint(
-        shard_of_name: Dict[str, int], replicas_of_name: Dict[str, List[int]]
-    ) -> Tuple[Any, ...]:
-        return (
-            tuple(sorted(shard_of_name.items())),
-            tuple(
-                sorted(
-                    (name, tuple(replicas))
-                    for name, replicas in replicas_of_name.items()
-                )
-            ),
-        )
 
     # ------------------------------------------------------------------ #
     # Worker lifecycle
@@ -606,7 +576,6 @@ class ProcessShardRouter:
                 child_conn,
                 str(self.store_dir),
                 self.cache_size,
-                self.coalesce,
             ),
             daemon=True,
             name=f"repro-shard-worker-{worker.index}",
@@ -725,8 +694,8 @@ class ProcessShardRouter:
     def reload(self) -> None:
         """Re-open the store directory from disk, everywhere.
 
-        The parent re-reads the manifests (placement, replica sets,
-        entry metadata) and every worker rebuilds its router, so an
+        The parent re-reads the manifests (placement, entry metadata)
+        and every worker rebuilds its router, so an
         external rebalance — another process migrating entries and
         saving — takes effect without respawning anything.
         """
@@ -742,27 +711,15 @@ class ProcessShardRouter:
         """Reload iff the persisted shard map changed; returns whether it
         did.  This is the versioned-reload hook a rebalance loop polls:
         cheap when nothing moved (one manifest read, no worker round
-        trips), a full :meth:`reload` when placement or replica sets
-        differ from what the parent routed by."""
+        trips), a full :meth:`reload` when the assignments differ from
+        what the parent routed by."""
         try:
             if detect_store_format(self.store_dir) != "sharded":
                 return False
             manifest = read_sharded_manifest(self.store_dir)
         except (StoreCorruptionError, OSError):
             return False  # mid-publish or gone; keep serving the old map
-        shard_map = manifest["shard_map"]
-        fingerprint = self._fingerprint(
-            {
-                str(name): int(shard)
-                for name, shard in shard_map.get("assignments", {}).items()
-            },
-            {
-                str(name): [int(index) for index in replicas]
-                for name, replicas in shard_map.get("replicas", {}).items()
-                if replicas
-            },
-        )
-        if fingerprint == self._map_fingerprint:
+        if _map_assignments(manifest["shard_map"]) == self._loaded_assignments:
             return False
         self.reload()
         return True

@@ -4,9 +4,9 @@ Covers the :class:`HotnessTracker` decay math against an injected clock
 (fold absorption, half-life decay, steady-state QPS recovery, counter
 resets clamping to zero, frontend-vs-engine max folding), the
 :class:`Rebalancer` threshold-plus-hysteresis policy over a live
-:class:`ShardRouter` (migrate off crowded shards, replicate read-hot
-entries, shed replicas on cooldown), and the CLI surface (the serve
-REPL's ``rebalance`` command, ``metrics --top``, flag validation).
+:class:`ShardRouter` (migrate hot entries off crowded shards), and the
+CLI surface (the serve REPL's ``rebalance`` command, ``metrics --top``,
+flag validation).
 """
 
 import io
@@ -185,7 +185,7 @@ class TestRebalancer:
         tracker.observe("a", 500)
         tracker.observe("b", 80)
         tracker.observe("c", 80)
-        policy = Rebalancer(tracker, hot_qps=1.0, replicate_qps=1e9)
+        policy = Rebalancer(tracker, hot_qps=1.0)
         actions = policy.rebalance(router, fold=False)
         migrated = {act.name for act in actions if act.action == "migrate"}
         assert "a" in migrated
@@ -202,7 +202,7 @@ class TestRebalancer:
         tracker, _clock = make_tracker()
         tracker.observe("a", 500)
         tracker.observe("b", 400)
-        policy = Rebalancer(tracker, hot_qps=1.0, replicate_qps=1e9)
+        policy = Rebalancer(tracker, hot_qps=1.0)
         assert policy.rebalance(router, fold=False)
         assert policy.rebalance(router, fold=False) == []
 
@@ -213,71 +213,53 @@ class TestRebalancer:
         router.migrate("a", 3)
         tracker, _clock = make_tracker()
         tracker.observe("a", 500)
-        policy = Rebalancer(tracker, hot_qps=1.0, replicate_qps=1e9)
+        policy = Rebalancer(tracker, hot_qps=1.0)
         actions = policy.rebalance(router, fold=False)
         assert not [act for act in actions if act.action == "migrate"]
         assert router.shard_map.shard_of("a") == 3
 
-    def test_replicates_read_hot_entry(self):
+    def test_hysteresis_band_keeps_promotion(self):
+        # Between cool_qps and hot_qps a promoted entry stays promoted:
+        # it is not moved back, and it stays migration-eligible although
+        # a fresh policy would not promote it.
         router = build_router()
-        tracker, _clock = make_tracker()
-        tracker.observe("a", 1000)
-        policy = Rebalancer(tracker, hot_qps=1.0, replicate_qps=2.0)
-        actions = policy.rebalance(router, fold=False)
-        added = [act for act in actions if act.action == "replicate"]
-        assert len(added) == router.num_shards - 1
-        assert len(router.replicas_of("a")) == router.num_shards - 1
-
-    def test_max_replicas_caps_fan_out(self):
-        router = build_router()
-        tracker, _clock = make_tracker()
-        tracker.observe("a", 1000)
-        policy = Rebalancer(
-            tracker, hot_qps=1.0, replicate_qps=2.0, max_replicas=1
-        )
-        policy.rebalance(router, fold=False)
-        assert len(router.replicas_of("a")) == 1
-        # A second pass respects the cap rather than topping up.
-        assert policy.rebalance(router, fold=False) == []
-
-    def test_cooled_entry_sheds_replicas(self):
-        router = build_router()
-        tracker, clock = make_tracker(half_life_s=1.0)
-        tracker.observe("a", 1000)
-        policy = Rebalancer(tracker, hot_qps=1.0, replicate_qps=2.0)
-        policy.rebalance(router, fold=False)
-        assert router.replicas_of("a")
-        clock.advance(60.0)  # decay well below cool_qps
-        actions = policy.rebalance(router, fold=False)
-        assert {act.action for act in actions} == {"drop_replica"}
-        assert router.replicas_of("a") == []
-
-    def test_hysteresis_band_keeps_replicas(self):
-        # Between cool_qps and hot_qps the entry stays promoted: its
-        # replicas survive even though it would not promote afresh.
-        router = build_router()
+        for name in router.names():
+            router.migrate(name, 0)
         tracker, clock = make_tracker(half_life_s=10.0)
         tracker.observe("a", 1000)
-        policy = Rebalancer(tracker, hot_qps=40.0, replicate_qps=50.0)
-        policy.rebalance(router, fold=False)
-        assert router.replicas_of("a")
+        tracker.observe("b", 80)
+        tracker.observe("c", 80)
+        policy = Rebalancer(tracker, hot_qps=40.0)
+        (moved,) = policy.rebalance(router, fold=False)
+        assert (moved.action, moved.name, moved.source) == ("migrate", "a", 0)
         # One half-life: ~34 qps, inside the (20, 40) hysteresis band.
         clock.advance(10.0)
         assert policy.cool_qps < tracker.qps("a") < policy.hot_qps
         assert policy.rebalance(router, fold=False) == []
-        assert router.replicas_of("a")
+        assert router.shard_map.shard_of("a") == moved.target
+        # Crowd its shard: only the policy that promoted it still acts.
+        router.migrate("b", moved.target)
+        fresh = Rebalancer(tracker, hot_qps=40.0)
+        assert fresh.rebalance(router, fold=False) == []
+        (again,) = policy.rebalance(router, fold=False)
+        assert again.name == "a" and again.target != 0
 
     def test_rebalance_folds_live_registry_by_default(self):
         # End to end without observe(): real queries through the router
         # feed the engine counters, fold() turns them into heat, and the
-        # policy acts on it.
+        # policy acts on it.  With 2 shards "b" and "c" share shard 1,
+        # so the hot "b" has competing load and moves to shard 0.
         router = build_router(num_shards=2)
         tracker = HotnessTracker(half_life_s=30.0)
         for _ in range(4):
-            router.range_sum("a", np.zeros(64, int), np.full(64, 100))
-        policy = Rebalancer(tracker, hot_qps=0.01, replicate_qps=0.05)
+            router.range_sum("b", np.zeros(64, int), np.full(64, 100))
+        router.range_sum("c", 0, 100)
+        policy = Rebalancer(tracker, hot_qps=0.01)
         actions = policy.rebalance(router)
-        assert any(act.action == "replicate" for act in actions)
+        assert [(act.action, act.name) for act in actions] == [
+            ("migrate", "b")
+        ]
+        assert router.shard_map.shard_of("b") == 0
 
 
 # --------------------------------------------------------------------- #
@@ -287,18 +269,19 @@ class TestRebalancer:
 
 class TestRebalanceCLI:
     def test_serve_repl_rebalance_command(self):
-        hot = "range merging 0 100\n" * 40
+        # With 2 shards "merging" and "wavelet" share shard 0, so the hot
+        # "merging" has competing load and the first pass moves it.
+        hot = "range merging 0 100\n" * 40 + "range wavelet 0 100\n" * 5
         commands = io.StringIO(hot + "rebalance\nrebalance\nquit\n")
         out = io.StringIO()
         assert serve_main(
             ["--n", "512", "--k", "4", "--families", "merging,wavelet",
-             "--shards", "2", "--hot-qps", "0.01",
-             "--replicate-qps", "0.05"],
+             "--shards", "2", "--hot-qps", "0.01"],
             stdin=commands,
             stdout=out,
         ) == 0
         text = out.getvalue()
-        assert "replicate merging" in text
+        assert "migrate merging: shard 0 -> 1" in text
         # Second pass on an already-balanced router reports the no-op.
         assert "(no placement changes)" in text
 

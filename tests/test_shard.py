@@ -38,6 +38,7 @@ from repro.serve.persistence import (
     read_sharded_manifest,
 )
 from repro.serve.router import stable_shard
+from repro.serve.workers import ProcessShardRouter
 
 from helpers import summary_metadata
 from test_persistence import FIXTURES
@@ -340,13 +341,15 @@ class TestFrontend:
             b = rng.integers(0, 240, 8)
             a, b = np.minimum(a, b), np.maximum(a, b)
             requests.append(QueryRequest("range_sum", name, (a, b)))
-        with AsyncServingFrontend(router, coalesce=True) as on, \
-                AsyncServingFrontend(router, coalesce=False) as off:
-            merged = on.serve(requests)
-            individual = off.serve(requests)
-        for lhs, rhs in zip(merged, individual):
-            np.testing.assert_array_equal(lhs.value, rhs.value)
-            assert lhs.version == rhs.version
+        with AsyncServingFrontend(router) as fe:
+            results = fe.serve(requests)
+        assert router.registry.get("frontend_coalesced_requests_total").value
+        for request, result in zip(requests, results):
+            assert result.ok, result.error
+            np.testing.assert_array_equal(
+                result.value, engine.range_sum(request.name, *request.args)
+            )
+            assert result.version == router[request.name].version
 
     def test_coalescing_mixed_shape_args_do_not_cross(self, pair):
         """Regression: a request with (array, scalar) or mismatched-length
@@ -359,7 +362,7 @@ class TestFrontend:
             QueryRequest("range_sum", name, (np.asarray([10]), np.asarray([20, 30]))),
             QueryRequest("range_sum", name, (2, np.asarray([4, 9, 14]))),
         ]
-        with AsyncServingFrontend(router, coalesce=True) as fe:
+        with AsyncServingFrontend(router) as fe:
             results = fe.serve(requests)
         assert all(r.ok for r in results)
         np.testing.assert_array_equal(
@@ -385,7 +388,7 @@ class TestFrontend:
             QueryRequest("range_sum", name, (a, b)),
             QueryRequest("range_sum", name, (a + 1, b + 1)),
         ]
-        with AsyncServingFrontend(router, coalesce=True) as fe:
+        with AsyncServingFrontend(router) as fe:
             results = fe.serve(requests)
         assert all(r.ok for r in results)
         assert results[0].value.shape == (2, 2)
@@ -930,7 +933,7 @@ class TestConcurrentRefreshWhileQuery:
 
 
 # --------------------------------------------------------------------- #
-# Skew-aware placement: sticky reshard, live migration, read replication
+# Skew-aware placement: sticky reshard, live migration
 # --------------------------------------------------------------------- #
 
 
@@ -965,18 +968,6 @@ class TestStickyReshard:
             assert after[name] == stable_shard(name, 2)
         migrated = router.registry.get("router_entries_migrated_total")
         assert migrated.value == len(before) - len(survivors)
-
-    def test_replica_sets_survive_reshard(self, pair):
-        _, router = pair
-        name = NAMES[0]
-        others = [i for i in range(4) if i != router.shard_map.shard_of(name)]
-        router.replicate(name, others[:2])
-        wide = router.reshard(6)
-        assert sorted(wide.replicas_of(name)) == sorted(others[:2])
-        # Shrinking drops replicas whose shard disappeared.
-        narrow = router.reshard(2)
-        kept = narrow.replicas_of(name)
-        assert all(i < 2 for i in kept)
 
 
 class TestMigrate:
@@ -1031,153 +1022,11 @@ class TestMigrate:
         counter = router.registry.get("router_entries_migrated_total")
         assert counter.value == len(names)
 
-    def test_migrating_onto_replica_promotes(self, pair):
-        _, router = pair
-        name = NAMES[3]
-        source = router.shard_map.shard_of(name)
-        target = (source + 1) % 4
-        router.replicate(name, target)
-        router.migrate(name, target)
-        assert router.shard_map.shard_of(name) == target
-        assert router.replicas_of(name) == []
-        assert name not in router.shards[source].store
 
-
-class TestReplication:
-    def test_replicated_reads_round_robin_with_parity(self, pair):
-        engine, router = pair
-        name = NAMES[0]
-        others = [i for i in range(4) if i != router.shard_map.shard_of(name)]
-        assert router.replicate(name, others) == others
-        rng = np.random.default_rng(5)
-        a = rng.integers(0, 240, 16)
-        b = rng.integers(0, 240, 16)
-        a, b = np.minimum(a, b), np.maximum(a, b)
-        expected = engine.range_sum(name, a, b)
-        with AsyncServingFrontend(router) as fe:
-            results = fe.serve(
-                [QueryRequest("range_sum", name, (a, b)) for _ in range(8)]
-            )
-        for result in results:
-            assert result.ok, result.error
-            np.testing.assert_array_equal(result.value, expected)
-        # The round-robin cursor visited every placement at least once.
-        reads = router.registry.get("frontend_replica_reads_total")
-        assert reads.value >= len(others)
-
-    def test_replicate_skips_primary_and_duplicates(self, pair):
-        _, router = pair
-        name = NAMES[1]
-        primary = router.shard_map.shard_of(name)
-        other = (primary + 1) % 4
-        assert router.replicate(name, [primary, other, other]) == [other]
-        assert router.replicas_of(name) == [other]
-        assert (
-            router.registry.get("router_entries_replicated_total").value == 1
-        )
-
-    def test_writes_propagate_to_replicas(self):
-        router = ShardRouter(num_shards=3)
-        rng = np.random.default_rng(6)
-        learner = StreamingHistogramLearner(n=120, k=4, refresh_factor=1.1)
-        learner.extend(rng.integers(0, 120, 400))
-        router.register_stream("live", learner)
-        primary = router.shard_map.shard_of("live")
-        replica = (primary + 1) % 3
-        router.replicate("live", replica)
-        before = router["live"].version
-        router.extend("live", rng.integers(0, 120, 4000))
-        after = router["live"].version
-        assert after > before
-        version, _table = router.shards[replica].engine.table_versioned("live")
-        assert version == after
-
-    def test_stale_replica_falls_back_to_primary(self):
-        """A refresh that bypasses the router's propagation (the window
-        between a primary write and its fan-out) must not serve stale:
-        the front end's version check recomputes on the primary."""
-        router = ShardRouter(num_shards=2)
-        rng = np.random.default_rng(7)
-        learner = StreamingHistogramLearner(n=120, k=4, refresh_factor=1.1)
-        learner.extend(rng.integers(0, 120, 400))
-        router.register_stream("live", learner)
-        primary = router.shard_map.shard_of("live")
-        replica = 1 - primary
-        router.replicate("live", replica)
-        # Write primary-only: extend the learner and refresh through the
-        # store, NOT through the router (no propagation).
-        learner.extend(rng.integers(0, 120, 4000))
-        fresh = router.shards[primary].store.refresh("live")
-        stale_version, _ = router.shards[replica].engine.table_versioned("live")
-        assert stale_version < fresh.version
-        with AsyncServingFrontend(router) as fe:
-            results = fe.serve(
-                [QueryRequest("range_sum", "live", (0, 119)) for _ in range(6)]
-            )
-        for result in results:
-            assert result.ok, result.error
-            assert result.version == fresh.version
-        fallbacks = router.registry.get(
-            "frontend_replica_stale_fallbacks_total"
-        )
-        assert fallbacks.value >= 1
-
-    def test_drop_replica(self, pair):
-        _, router = pair
-        name = NAMES[2]
-        other = (router.shard_map.shard_of(name) + 1) % 4
-        router.replicate(name, other)
-        assert router.drop_replica(name, other) is True
-        assert router.drop_replica(name, other) is False
-        assert router.replicas_of(name) == []
-        assert name not in router.shards[other].store
-        assert (
-            router.registry.get("router_replicas_dropped_total").value == 1
-        )
-
-    def test_remove_cleans_replicas(self, pair):
-        _, router = pair
-        name = NAMES[4]
-        other = (router.shard_map.shard_of(name) + 1) % 4
-        router.replicate(name, other)
-        router.remove(name)
-        assert router.replicas_of(name) == []
-        assert name not in router.shards[other].store
-
-    def test_replicas_round_trip_persistence(self, pair, tmp_path):
-        engine, router = pair
-        name = NAMES[0]
-        others = [i for i in range(4) if i != router.shard_map.shard_of(name)]
-        router.replicate(name, others[:2])
-        save_sharded(router, tmp_path / "replicated")
-        manifest = read_sharded_manifest(tmp_path / "replicated")
-        # Replica sets persist at the pre-cohort schema (no cohorts here).
-        assert manifest["schema"] == SHARDED_SCHEMA_VERSION - 1
-        assert sorted(manifest["shard_map"]["replicas"][name]) == sorted(
-            others[:2]
-        )
-        # Replica copies stay out of the shard directories; the primary
-        # is the one persisted copy.
-        for index in others[:2]:
-            shard_manifest = read_manifest_names(
-                tmp_path / "replicated" / f"shard-{index:04d}"
-            )
-            assert name not in shard_manifest
-        loaded = load_sharded(tmp_path / "replicated")
-        assert sorted(loaded.replicas_of(name)) == sorted(others[:2])
-        for index in others[:2]:
-            assert name in loaded.shards[index].store
-        rng = np.random.default_rng(9)
-        a = rng.integers(0, 240, 32)
-        b = rng.integers(0, 240, 32)
-        a, b = np.minimum(a, b), np.maximum(a, b)
-        np.testing.assert_array_equal(
-            loaded.range_sum(name, a, b), engine.range_sum(name, a, b)
-        )
-
+class TestLegacyShardMaps:
     def test_schema1_map_still_loads(self):
-        """Back-compat: a schema-1 shard-map payload (no replicas, no
-        map_version) must load with empty replica sets."""
+        """Back-compat: a schema-1 shard-map payload (no map_version)
+        must load at version 0."""
         payload = {
             "kind": "shard_map",
             "schema": 1,
@@ -1186,15 +1035,48 @@ class TestReplication:
         }
         shard_map = ShardMap.from_dict(payload)
         assert shard_map.shard_of("a") == 1
-        assert shard_map.replica_sets() == {}
         assert shard_map.version == 0
 
+    def test_saved_replica_sets_are_ignored(self, tmp_path):
+        """Back-compat: older versions saved read-replica sets in the
+        schema-2 shard map (``"replicas": {name: [shard, ...]}``) but
+        never wrote replica copies into shard directories.  Such a store
+        loads with every entry on its primary alone."""
+        router = ShardRouter(num_shards=2)
+        populate(router, NAMES)
+        path = tmp_path / "store"
+        save_sharded(router, path)
+        unedited = load_sharded(path)
+        name = NAMES[0]
+        other = 1 - router.shard_map.shard_of(name)
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert "replicas" not in manifest["shard_map"]
+        with ProcessShardRouter(path, workers=1) as prouter:
+            manifest["shard_map"]["replicas"] = {name: [other]}
+            (path / "manifest.json").write_text(json.dumps(manifest))
+            assert prouter.maybe_reload() is False
 
-def read_manifest_names(shard_dir):
-    """Entry names recorded in one shard directory's manifest(s)."""
-    from repro.serve.persistence import iter_manifest_entries
+        loaded = load_sharded(path)
+        rng = np.random.default_rng(9)
+        a = rng.integers(0, 240, 32)
+        b = rng.integers(0, 240, 32)
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        q = np.linspace(0.0, 1.0, 9)
+        for entry in NAMES:
+            assert loaded[entry].version == unedited[entry].version
+            np.testing.assert_array_equal(
+                loaded.range_sum(entry, a, b), unedited.range_sum(entry, a, b)
+            )
+            np.testing.assert_array_equal(
+                loaded.quantile(entry, q), unedited.quantile(entry, q)
+            )
+        assert "replicas" not in loaded.describe(name)
+        assert name not in loaded.shards[other].store
+        assert len(loaded) == len(NAMES)
 
-    return [str(rec["name"]) for rec in iter_manifest_entries(shard_dir)]
+        save_sharded(loaded, tmp_path / "resaved")
+        resaved = read_sharded_manifest(tmp_path / "resaved")
+        assert "replicas" not in resaved["shard_map"]
 
 
 @pytest.mark.slow

@@ -235,21 +235,6 @@ class TestProcessShardRouter:
             )
             assert prouter.maybe_reload() is False  # idempotent
 
-    def test_replicated_store_serves_from_workers(self, tmp_path):
-        """Replica sets persist, load into the workers, and replicated
-        reads keep parity while fanning across worker processes."""
-        router = build_router()
-        router.replicate("a", 1 - router.shard_map.shard_of("a"))
-        path = tmp_path / "replicated"
-        save_sharded(router, path)
-        expected = router.range_sum("a", 0, 100)
-        with ProcessShardRouter(path, workers=2) as prouter:
-            assert prouter._replicas_of_name.get("a")
-            for _ in range(4):  # round-robin visits both placements
-                np.testing.assert_array_equal(
-                    prouter.range_sum("a", 0, 100), expected
-                )
-
     def test_plain_store_clamps_to_one_worker(self, tmp_path):
         values = np.abs(np.random.default_rng(5).normal(1.0, 0.5, 128)) + 1e-6
         store = SynopsisStore()
