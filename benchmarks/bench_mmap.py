@@ -11,7 +11,7 @@ ways, then hydrated cold:
   entry hydration, best of several fresh loads.  This is the serving
   path's first-query latency component.
 * **whole store cold** — hydrate every entry of a fresh lazy load, the
-  worst-case warmup a restarted worker pays.  The per-layout
+  worst-case warmup a restarted server pays.  The per-layout
   ``store_hydrate_seconds`` sums (the obs histogram the serving stack
   already exports) are recorded alongside the wall-clock numbers, so
   the benchmark's measurements line up with production dashboards.

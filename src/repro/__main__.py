@@ -19,15 +19,13 @@ Serving commands:
   pairs the synopsis against a lossless reference)
 * ``serve``       — register synopses (or load a persisted store with
   ``--store-dir``) and answer queries from stdin; ``--shards N`` serves
-  from N concurrent store/engine shards; ``--workers N`` serves from N
-  shard worker *processes* over memory-mapped payloads (escapes the
-  GIL); ``plan <name>`` prints an auto-planned entry's decision record;
+  from N concurrent store/engine shards; ``plan <name>`` prints an
+  auto-planned entry's decision record;
   ``--window W`` adds a sliding-window streaming entry answering the
   ``heavy`` command (approximate heavy hitters over the live window);
   ``rebalance`` runs one skew-aware placement pass — migrating hot
   entries off crowded shards by decayed QPS (threshold via
-  ``--hot-qps``; with ``--workers`` it instead checks the persisted
-  shard map and reloads on change) — and
+  ``--hot-qps``) — and
   ``--rebalance-interval S`` runs that same pass in the background
 * ``save``        — build synopses and persist the store to a directory
   (``--shards N`` writes the sharded layout; ``--families auto`` plans;
@@ -42,7 +40,6 @@ Serving commands:
 * ``metrics``     — load a persisted store, probe it with batched
   queries, and print the metrics exposition (``--format text`` for
   Prometheus text format, ``json`` for the percentile readout;
-  ``--workers N`` probes worker processes and merges their registries;
   ``--no-probe`` reports registry state without touching payloads;
   ``--top N`` prints the N hottest entries by decayed QPS with cache
   hit rates instead of the exposition)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "Counter",
@@ -77,17 +77,6 @@ class Counter:
     def snapshot(self) -> Dict[str, Any]:
         return {"value": self._value}
 
-    def state(self) -> Dict[str, Any]:
-        """Pure-JSON state for cross-process shipping (see
-        :meth:`MetricsRegistry.to_state`)."""
-        return {"value": self._value}
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "Counter":
-        counter = cls()
-        counter.inc(int(state["value"]))
-        return counter
-
 
 class Gauge:
     """A value that can go up and down (sizes, capacities, ratios)."""
@@ -122,15 +111,6 @@ class Gauge:
 
     def snapshot(self) -> Dict[str, Any]:
         return {"value": self._value}
-
-    def state(self) -> Dict[str, Any]:
-        return {"value": self._value}
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "Gauge":
-        gauge = cls()
-        gauge.set(float(state["value"]))
-        return gauge
 
 
 class LatencyHistogram:
@@ -289,32 +269,6 @@ class LatencyHistogram:
         }
         summary.update(self.percentiles())
         return summary
-
-    def state(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "exp_range": [self.exp_lo, self.exp_hi],
-                "counts": list(self._counts),
-                "count": self._count,
-                "sum": self._sum,
-                "max": self._max,
-            }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "LatencyHistogram":
-        lo, hi = state["exp_range"]
-        histogram = cls((int(lo), int(hi)))
-        counts = [int(c) for c in state["counts"]]
-        if len(counts) != histogram.num_buckets:
-            raise ValueError(
-                f"histogram state holds {len(counts)} buckets for layout "
-                f"({lo}, {hi})"
-            )
-        histogram._counts = counts
-        histogram._count = int(state["count"])
-        histogram._sum = float(state["sum"])
-        histogram._max = float(state["max"])
-        return histogram
 
 
 class _NullInstrument:
@@ -490,57 +444,6 @@ class MetricsRegistry:
                     **labels,
                 )
                 mine.merge_from(metric)
-
-    def to_state(self) -> Dict[str, Any]:
-        """Every series as pure JSON — the pickle-free wire form.
-
-        Worker processes ship their registry across the process boundary
-        with this (see :mod:`repro.serve.workers`); the parent revives it
-        via :meth:`from_state` and folds it in with :meth:`merge_from`.
-        Unlike :meth:`as_dict` (a rendered exposition), the state is
-        lossless: ``from_state(r.to_state())`` merges identically to
-        ``r`` itself.
-        """
-        series = []
-        for name, labels, metric in self.collect():
-            if isinstance(metric, (Counter, Gauge, LatencyHistogram)):
-                series.append(
-                    {
-                        "name": name,
-                        "labels": labels,
-                        "type": metric.metric_type,
-                        "help": self.help_text(name),
-                        "state": metric.state(),
-                    }
-                )
-        return {"kind": "metrics_registry", "schema": 1, "series": series}
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "MetricsRegistry":
-        """Revive a registry shipped as :meth:`to_state` JSON."""
-        if state.get("kind") != "metrics_registry":
-            raise ValueError(
-                f"not a metrics registry state: kind={state.get('kind')!r}"
-            )
-        registry = cls()
-        types = {
-            "counter": Counter,
-            "gauge": Gauge,
-            "histogram": LatencyHistogram,
-        }
-        for row in state.get("series", []):
-            metric_cls = types.get(row.get("type"))
-            if metric_cls is None:
-                raise ValueError(f"unknown metric type {row.get('type')!r}")
-            metric = metric_cls.from_state(row["state"])
-            name = str(row["name"])
-            labels = {str(k): str(v) for k, v in row.get("labels", {}).items()}
-            key = (name, _label_key(labels))
-            with registry._lock:
-                registry._metrics[key] = metric
-                if row.get("help") and name not in registry._help:
-                    registry._help[name] = str(row["help"])
-        return registry
 
     def as_dict(self) -> Dict[str, Any]:
         """A JSON-friendly snapshot (see :mod:`repro.obs.export`)."""

@@ -70,14 +70,6 @@ default; ``--layout npz`` writes the legacy per-entry npz layout):
   shard map plus every shard's entries — without reading any payload
   (``--name`` restricts to one entry, touching only its segment).
 
-``--workers N`` (on ``serve`` and ``metrics``) serves the persisted
-store from N worker *processes* (see
-:class:`~repro.serve.workers.ProcessShardRouter`): each worker owns a
-slice of the shards, memory-maps the schema-4 payloads (sharing one OS
-page cache), and the parent merges every worker's metrics into one
-exposition.  Store-mutating REPL commands (``save``) and in-process
-cache introspection (``cache``) are not available in this mode.
-
 Dataset-building commands use the Table 1 datasets (``hist``, ``poly``,
 ``dow``) or a synthetic step signal (``steps``, size ``--n``).
 """
@@ -106,7 +98,6 @@ from .builders import SYNOPSIS_FAMILIES
 from .engine import QueryEngine
 from .persistence import (
     DEFAULT_SEGMENT_SIZE,
-    MMAP_SCHEMA_VERSION,
     StoreCorruptionError,
     detect_store_format,
     iter_manifest_entries,
@@ -118,7 +109,6 @@ from .planner import BuildBudget
 from .residency import ResidencyManager
 from .router import ShardRouter
 from .store import SynopsisStore
-from .workers import ProcessShardRouter
 
 __all__ = [
     "inspect_main",
@@ -348,7 +338,7 @@ def _layout_arguments(parser: argparse.ArgumentParser) -> None:
         default="mmap",
         choices=["mmap", "npz"],
         help="payload layout: mmap (schema 4, raw little-endian segments "
-        "that workers memory-map; the default) or npz (legacy schema-3 "
+        "that load memory-maps; the default) or npz (legacy schema-3 "
         "per-entry npz files, loadable by older readers)",
     )
     parser.add_argument(
@@ -358,33 +348,6 @@ def _layout_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="E",
         help="entries per segment in the mmap layout",
     )
-
-
-def _workers_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="serve the persisted store from N worker processes "
-        "(requires --store-dir; clamped to the shard count); workers "
-        "memory-map the payloads and share one page cache",
-    )
-
-
-def _load_process_router_or_exit(
-    store_dir: str, workers: int, cache_size: Optional[int] = None
-) -> ProcessShardRouter:
-    if workers < 1:
-        raise SystemExit(f"--workers must be positive, got {workers}")
-    try:
-        return ProcessShardRouter(
-            store_dir,
-            workers=workers,
-            **({} if cache_size is None else {"cache_size": cache_size}),
-        )
-    except (FileNotFoundError, StoreCorruptionError) as exc:
-        raise SystemExit(f"error: {exc}")
 
 
 def _summary_line(meta: dict) -> str:
@@ -649,15 +612,8 @@ def _merged_registry(router) -> MetricsRegistry:
     engine/store/front-end); build and planner metrics live in the
     process-wide default registry.  Merging into a fresh registry — the
     same ``merge()`` discipline the latency histograms support — yields
-    one exposition document without mutating either source.  A
-    :class:`~repro.serve.workers.ProcessShardRouter` collects its
-    workers' registries over the wire instead (already merged, each
-    series stamped with its ``worker=<i>`` label).
+    one exposition document without mutating either source.
     """
-    if isinstance(router, ProcessShardRouter):
-        merged = router.collect_metrics()
-        merged.merge_from(get_default_registry())
-        return merged
     merged = MetricsRegistry()
     merged.merge_from(router.registry)
     merged.merge_from(get_default_registry())
@@ -709,7 +665,6 @@ def serve_main(
     _budget_arguments(parser)
     _shards_argument(parser)
     _window_argument(parser)
-    _workers_argument(parser)
     parser.add_argument(
         "--store-dir",
         default=None,
@@ -722,8 +677,8 @@ def serve_main(
         type=float,
         default=None,
         metavar="SECONDS",
-        help="run the skew-aware rebalancer (with --workers: the versioned "
-        "shard-map reload check) in a background thread every SECONDS",
+        help="run the skew-aware rebalancer in a background thread every "
+        "SECONDS",
     )
     parser.add_argument(
         "--hot-qps",
@@ -738,28 +693,15 @@ def serve_main(
         type=int,
         default=None,
         metavar="B",
-        help="tiered residency: cool the coldest lazily-loaded entries "
-        "back to their mmap hydrators whenever the shards' combined "
-        "resident payload bytes exceed B (in-process --store-dir "
+        help="tiered residency: cool the least recently hydrated "
+        "lazily-loaded entries back to their mmap hydrators whenever the "
+        "shards' combined resident payload bytes exceed B (--store-dir "
         "serving only)",
     )
     args = parser.parse_args(argv)
     src = sys.stdin if stdin is None else stdin
     out = sys.stdout if stdout is None else stdout
 
-    if args.max_resident_bytes is not None and args.workers is not None:
-        # Payloads live in the worker processes; the parent has nothing
-        # resident to cool.
-        raise SystemExit(
-            "error: --max-resident-bytes is not supported with --workers "
-            "(each worker memory-maps its payloads already)"
-        )
-    if args.workers is not None and args.store_dir is None:
-        # Worker processes serve an immutable persisted store; a fresh
-        # in-memory build has nothing on disk for them to map.
-        raise SystemExit(
-            "error: --workers requires --store-dir (save the store first)"
-        )
     if args.store_dir is not None:
         if args.window is not None:
             # A loaded store serves its persisted entries; silently
@@ -769,57 +711,30 @@ def serve_main(
                 "error: --window cannot be combined with --store-dir "
                 "(save the store with --window instead)"
             )
-        if args.workers is not None:
-            router = _load_process_router_or_exit(args.store_dir, args.workers)
-            if args.shards is not None and router.num_shards != args.shards:
-                raise SystemExit(
-                    f"error: {args.store_dir} holds {router.num_shards} "
-                    f"shard(s), --shards asked for {args.shards}"
-                )
-            source = f"store {args.store_dir!r}"
-        else:
-            router = _load_router_or_exit(
-                args.store_dir, lazy=True, expect_shards=args.shards
-            )
-            source = f"store {args.store_dir!r}"
+        router = _load_router_or_exit(
+            args.store_dir, lazy=True, expect_shards=args.shards
+        )
+        source = f"store {args.store_dir!r}"
     else:
         router = _build_family_router(args)
         source = f"{args.dataset!r}"
 
-    workers_note = (
-        f" via {router.num_workers} worker process(es)"
-        if isinstance(router, ProcessShardRouter)
-        else ""
-    )
     print(
         f"serving {len(router)} synopses of {source} on "
-        f"{router.num_shards} shard(s){workers_note} "
+        f"{router.num_shards} shard(s) "
         f"({', '.join(router.names())}); "
         f"commands: range mean point cdf quantile topk inner heavy group "
         f"cohort summary inspect plan shards cache metrics rebalance save "
         f"quit",
         file=out,
     )
-    processes = isinstance(router, ProcessShardRouter)
-    rebalancer = None
+    rebalancer = Rebalancer(HotnessTracker(), hot_qps=args.hot_qps)
     residency = None
-    if not processes:
-        rebalancer = Rebalancer(HotnessTracker(), hot_qps=args.hot_qps)
-        if args.max_resident_bytes is not None:
-            # Share the rebalancer's tracker so the evictor and the
-            # placement policy agree on which entries are hot.
-            residency = ResidencyManager(
-                args.max_resident_bytes, tracker=rebalancer.tracker
-            )
-            for shard in router.shards:
-                residency.watch(shard.store)
-            residency.enforce()
-
-    def _rebalance_once() -> list:
-        """One policy pass (in-process) or map-reload check (--workers)."""
-        if processes:
-            return ["shard map reloaded"] if router.maybe_reload() else []
-        return [action.describe() for action in rebalancer.rebalance(router)]
+    if args.max_resident_bytes is not None:
+        residency = ResidencyManager(args.max_resident_bytes)
+        for shard in router.shards:
+            residency.watch(shard.store)
+        residency.enforce()
 
     stop_rebalancing = threading.Event()
     if args.rebalance_interval is not None:
@@ -832,7 +747,7 @@ def serve_main(
         def _rebalance_loop() -> None:
             while not stop_rebalancing.wait(args.rebalance_interval):
                 try:
-                    _rebalance_once()
+                    rebalancer.rebalance(router)
                 except Exception as exc:  # keep serving; surface the failure
                     print(f"rebalance failed: {exc}", file=sys.stderr)
 
@@ -851,24 +766,16 @@ def serve_main(
                 for meta in router.summary():
                     print(_summary_line(meta), file=out)
             elif cmd == "save":
-                if processes:
-                    raise ValueError(
-                        "save is not supported with --workers (the store "
-                        "already lives on disk; copy the directory instead)"
-                    )
                 _save_router(router, words[1])
                 print(f"saved {len(router)} entries to {words[1]}", file=out)
             elif cmd == "cache":
-                if processes:
-                    raise ValueError(
-                        "cache counters live in the worker processes; use "
-                        "the metrics command for the merged view"
-                    )
                 _print_cache_info(out, router.cache_info())
             elif cmd == "metrics":
                 _print_metrics(out, router, words[1] if len(words) > 1 else "text")
             elif cmd == "rebalance":
-                changes = _rebalance_once()
+                changes = [
+                    action.describe() for action in rebalancer.rebalance(router)
+                ]
                 for change in changes:
                     print(change, file=out)
                 if not changes:
@@ -876,40 +783,30 @@ def serve_main(
             elif cmd == "inspect":
                 meta = router.describe(words[1])
                 print(_summary_line(meta), file=out)
-                if not processes:
-                    stats = router.entry_cache_info(words[1])
+                stats = router.entry_cache_info(words[1])
+                print(
+                    f"  cache: hits={stats['hits']} misses={stats['misses']} "
+                    f"evictions={stats['evictions']}",
+                    file=out,
+                )
+            elif cmd == "shards":
+                for shard in router.shards:
+                    row = shard.store.residency()
                     print(
-                        f"  cache: hits={stats['hits']} misses={stats['misses']} "
-                        f"evictions={stats['evictions']}",
+                        f"shard {shard.index}: {len(shard.store)} entries "
+                        f"({', '.join(shard.store.names()) or '-'}) "
+                        f"hydrated={row['hydrated']} cold={row['cold']} "
+                        f"resident={row['resident_bytes']}B",
                         file=out,
                     )
-            elif cmd == "shards":
-                if processes:
-                    for row in router.describe_shards():
-                        print(
-                            f"shard {row['shard']} (worker {row['worker']}): "
-                            f"{row['entries']} entries "
-                            f"({', '.join(row['names']) or '-'})",
-                            file=out,
-                        )
-                else:
-                    for shard in router.shards:
-                        row = shard.store.residency()
-                        print(
-                            f"shard {shard.index}: {len(shard.store)} entries "
-                            f"({', '.join(shard.store.names()) or '-'}) "
-                            f"hydrated={row['hydrated']} cold={row['cold']} "
-                            f"resident={row['resident_bytes']}B",
-                            file=out,
-                        )
-                    if residency is not None:
-                        info = residency.describe()
-                        print(
-                            f"residency: budget={info['max_resident_bytes']}B "
-                            f"resident={info['resident_bytes']}B "
-                            f"evictions={info['evictions']}",
-                            file=out,
-                        )
+                if residency is not None:
+                    info = residency.describe()
+                    print(
+                        f"residency: budget={info['max_resident_bytes']}B "
+                        f"resident={info['resident_bytes']}B "
+                        f"evictions={info['evictions']}",
+                        file=out,
+                    )
             elif cmd == "plan":
                 plan = router.plan_of(words[1])
                 if plan is None:
@@ -964,12 +861,6 @@ def serve_main(
                         print("(no cohorts defined)", file=out)
                     for name, members in sorted(cohorts.items()):
                         print(f"{name}: {', '.join(members)}", file=out)
-                elif processes:
-                    raise ValueError(
-                        "cohort definition is not supported with --workers "
-                        "(persist the cohort in the store, or define it "
-                        "at registration time)"
-                    )
                 else:
                     router.define_cohort(words[1], words[2:])
                     print(
@@ -1005,8 +896,6 @@ def serve_main(
         ) as exc:
             print(f"error: {exc}", file=out)
     stop_rebalancing.set()
-    if processes:
-        router.close()
     return 0
 
 
@@ -1050,7 +939,6 @@ def metrics_main(
         "an operator reads before rebalancing)",
     )
     _shards_argument(parser)
-    _workers_argument(parser)
     args = parser.parse_args(argv)
     out = sys.stdout if stdout is None else stdout
     if args.queries < 1:
@@ -1058,17 +946,9 @@ def metrics_main(
     if args.top is not None and args.top < 1:
         raise SystemExit(f"--top must be positive, got {args.top}")
 
-    if args.workers is not None:
-        router = _load_process_router_or_exit(args.store_dir, args.workers)
-        if args.shards is not None and router.num_shards != args.shards:
-            raise SystemExit(
-                f"error: {args.store_dir} holds {router.num_shards} "
-                f"shard(s), --shards asked for {args.shards}"
-            )
-    else:
-        router = _load_router_or_exit(
-            args.store_dir, lazy=True, expect_shards=args.shards
-        )
+    router = _load_router_or_exit(
+        args.store_dir, lazy=True, expect_shards=args.shards
+    )
     if not args.no_probe:
         rng = np.random.default_rng(0)
         for name in router.names():
@@ -1094,8 +974,6 @@ def metrics_main(
             print(f"{name}: {qps:.2f} qps (cache hit rate {hit})", file=out)
     else:
         _print_metrics(out, router, args.format)
-    if isinstance(router, ProcessShardRouter):
-        router.close()
     return 0
 
 

@@ -110,11 +110,10 @@ class HotnessTracker:
     def fold(self, registry: MetricsRegistry) -> None:
         """Decay, then absorb counter increments since the last fold.
 
-        Scans the registry's per-entry series (summing across
-        shard/worker label sets, so process-sharded registries fold the
-        same way in-process ones do) and adds each entry's new queries
-        to its decayed count: the larger of the engine-side and
-        frontend-side increments, per entry, per fold.
+        Scans the registry's per-entry series (summing across shard
+        label sets) and adds each entry's new queries to its decayed
+        count: the larger of the engine-side and frontend-side
+        increments, per entry, per fold.
         """
         engine_totals: Dict[str, float] = {}
         frontend_totals: Dict[str, float] = {}
@@ -155,8 +154,7 @@ class HotnessTracker:
     def observe(self, name: str, count: float = 1.0) -> None:
         """Record ``count`` queries against ``name`` directly.
 
-        For callers that see traffic the engine counters don't (e.g. the
-        process-router parent before a metrics round-trip).
+        For callers that see traffic the engine counters don't.
         """
         with self._lock:
             self._decay_locked(self._clock())

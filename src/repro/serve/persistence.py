@@ -15,8 +15,8 @@ top-level manifest::
       ...
 
 Payload arrays are ``np.memmap``-ed straight off disk, so a cold entry
-hydrates in O(1) — no decompression — and N worker processes mapping
-the same store share one OS page cache.  The segment index means
+hydrates in O(1) — no decompression — and processes mapping the same
+store share one OS page cache.  The segment index means
 loading or inspecting a subset of a huge store touches only the
 segments holding the requested names.
 
@@ -326,7 +326,7 @@ def _write_store_contents_npz(store: SynopsisStore, target: Path) -> None:
         # Additive key: schema stays 3, older readers ignore it.
         manifest["cohorts"] = cohorts
     with open(target / MANIFEST_NAME, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=1)
+        handle.write(json.dumps(manifest))
 
 
 def _write_store_contents_mmap(
@@ -357,7 +357,7 @@ def _write_store_contents_mmap(
             "entries": records,
         }
         with open(target / manifest_name, "w", encoding="utf-8") as handle:
-            json.dump(segment_manifest, handle, indent=1)
+            handle.write(json.dumps(segment_manifest))
         segments.append(
             {
                 "manifest": manifest_name,
@@ -382,7 +382,7 @@ def _write_store_contents_mmap(
     if cohorts:
         manifest["cohorts"] = cohorts
     with open(target / MANIFEST_NAME, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=1)
+        handle.write(json.dumps(manifest))
 
 
 def _atomic_publish(tmp: Path, path: Path, token: str) -> None:
@@ -510,7 +510,7 @@ def save_sharded(
             if cohorts:
                 manifest["cohorts"] = cohorts
         with open(tmp / MANIFEST_NAME, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=1)
+            handle.write(json.dumps(manifest))
         _atomic_publish(tmp, path, token)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

@@ -8,13 +8,11 @@ stay hydrated, cold ones are *cooled* back to their lazy hydrator
 (:meth:`~repro.serve.store.StoreEntry.cool`) whenever the watched
 stores' combined resident payload bytes exceed ``max_resident_bytes``.
 
-Victim selection consults the same notion of "hot" the rebalancer
-uses: when a :class:`~repro.serve.loadstats.HotnessTracker` is attached,
-the coldest entry by decayed QPS cools first; without one, plain LRU
-order over hydration touches.  Either way only *evictable* entries ever
-enter the candidate set (streaming-backed and in-memory-built entries
-cannot cool), so a budget smaller than the non-evictable mass converges
-to "everything evictable cooled" rather than spinning.
+Victims are chosen in LRU order over hydration touches.  Only
+*evictable* entries ever enter the candidate set (streaming-backed and
+in-memory-built entries cannot cool), so a budget smaller than the
+non-evictable mass converges to "everything evictable cooled" rather
+than spinning.
 
 Lock order (matching the store's documented discipline): the manager's
 own lock is a leaf taken only to mutate the LRU; :meth:`enforce` picks a
@@ -28,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 __all__ = ["ResidencyManager"]
 
@@ -42,18 +40,9 @@ class ResidencyManager:
         The budget over the *sum* of watched stores' resident payload
         bytes (``stored_numbers * 8`` per hydrated entry).  ``None``
         disables enforcement (the manager still tracks recency).
-    tracker:
-        Optional :class:`~repro.serve.loadstats.HotnessTracker`; when
-        set, eviction cools the lowest-QPS candidate instead of the
-        least-recently-hydrated one, so the evictor and the rebalancer
-        share one notion of hot.
     """
 
-    def __init__(
-        self,
-        max_resident_bytes: Optional[int] = None,
-        tracker: Optional[object] = None,
-    ) -> None:
+    def __init__(self, max_resident_bytes: Optional[int] = None) -> None:
         if max_resident_bytes is not None and int(max_resident_bytes) <= 0:
             raise ValueError(
                 f"max_resident_bytes must be positive, got {max_resident_bytes}"
@@ -61,7 +50,6 @@ class ResidencyManager:
         self.max_resident_bytes = (
             None if max_resident_bytes is None else int(max_resident_bytes)
         )
-        self.tracker = tracker
         self._lock = threading.Lock()
         # Hydrated-and-evictable entries in hydration order (LRU first).
         # Keyed by (id(store), name): names are only unique per store.
@@ -111,14 +99,8 @@ class ResidencyManager:
         with self._lock:
             if not self._lru:
                 return None
-            if self.tracker is None:
-                key, store = self._lru.popitem(last=False)
-                return store, key[1]
-            victim_key = min(
-                self._lru, key=lambda key: self.tracker.qps(key[1])
-            )
-            store = self._lru.pop(victim_key)
-            return store, victim_key[1]
+            key, store = self._lru.popitem(last=False)
+            return store, key[1]
 
     def enforce(self) -> int:
         """Cool entries until the budget holds; returns entries cooled.

@@ -79,8 +79,7 @@ class ShardMap:
 
     Schema 2 adds ``map_version``, a monotone placement generation
     bumped on every effective mutation (new assignment, targeted
-    migration), so a :class:`~repro.serve.workers.ProcessShardRouter`
-    can detect that the persisted map changed and reload its workers.
+    migration), so two persisted maps can be compared by generation.
     Schema-1 payloads load with version 0.  Schema-2 payloads written
     while read replicas existed also carry a ``replicas`` key; it is
     ignored, because the primaries always held every payload.
@@ -129,8 +128,7 @@ class ShardMap:
         """Record assignments for a whole batch under one version bump.
 
         The fleet-registration path: a 100k-series cohort moves the map
-        one generation forward, not 100k, so process workers watching the
-        version reload once per bulk registration.
+        one generation forward, not 100k.
         """
         placed: Dict[str, int] = {}
         changed = False

@@ -16,7 +16,9 @@ The load-bearing properties:
 
 from __future__ import annotations
 
+import io
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from repro import (
     ShardRouter,
     SynopsisStore,
 )
+from repro.__main__ import main
 from repro.obs import get_default_registry
 from repro.serve import (
     SYNOPSIS_FAMILIES,
@@ -48,6 +51,7 @@ from repro.serve.persistence import (
     read_sharded_manifest,
     save_sharded,
 )
+from repro.serve.cli import serve_main
 
 # --------------------------------------------------------------------- #
 # Helpers
@@ -331,6 +335,45 @@ class TestResidency:
         manager.watch(store)
         assert manager.enforce() == 0  # nothing evictable: built in memory
         assert store["live"].is_hydrated
+
+    def test_serve_cli_budget_evicts_with_unchanged_answers(self, tmp_path):
+        store_dir = str(tmp_path / "store")
+        assert main(
+            ["save", "--n", "1024", "--k", "4", "--families",
+             "merging,wavelet,gks", "--shards", "2", "--store-dir", store_dir]
+        ) == 0
+        queries = "".join(
+            f"range {name} {a} {b}\n"
+            for name, a, b in [
+                ("merging", 0, 100), ("wavelet", 0, 100), ("gks", 0, 100),
+                ("merging", 17, 900), ("gks", 3, 1023), ("wavelet", 512, 600),
+            ]
+        )
+
+        def serve(*extra):
+            out = io.StringIO()
+            assert serve_main(
+                ["--store-dir", store_dir, *extra],
+                stdin=io.StringIO(queries + "shards\nquit\n"),
+                stdout=out,
+            ) == 0
+            lines = out.getvalue().splitlines()
+            # The banner, one answer per query, then the shards report.
+            return lines[1:7], lines[7:]
+
+        budget = 200
+        answers, report = serve("--max-resident-bytes", str(budget))
+        unbudgeted, _ = serve()
+        assert answers == unbudgeted
+        assert not any(line.startswith("error") for line in answers)
+        residency = re.fullmatch(
+            r"residency: budget=(\d+)B resident=(\d+)B evictions=(\d+)",
+            report[-1],
+        )
+        assert residency is not None, report
+        assert int(residency[1]) == budget
+        assert int(residency[2]) <= budget
+        assert int(residency[3]) >= 1
 
 
 # --------------------------------------------------------------------- #
