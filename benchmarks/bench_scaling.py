@@ -1,10 +1,11 @@
-"""Benchmark: EXT-scaling — linear-time claims of Theorems 3.4 / Cor 3.1.
+"""Benchmark: EXT-scaling — the quadratic cost of the exact DP.
 
-Times ``merging`` and ``fastmerging`` across a doubling ladder of input
-sizes.  Comparing consecutive rows of the emitted table shows the growth
-per doubling: ~2x for the sample-linear algorithms versus ~4x for the
-quadratic exact DP (which is benched only at small sizes to keep the suite
-fast — the full-size DP cost is covered by bench_table1).
+Times the exact V-optimal DP across a doubling ladder of input sizes.
+Comparing consecutive rows of the emitted table shows ~4x growth per
+doubling; it is benched only at small sizes to keep the suite fast (the
+full-size DP cost is covered by bench_table1).  The linear-time ladders
+of ``merging`` and ``fastmerging`` (Theorem 3.4, Corollary 3.1) live in
+bench_core.py, with their gates.
 """
 
 from __future__ import annotations
@@ -12,34 +13,15 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.exact_dp import v_optimal_histogram
-from repro.core.fastmerging import construct_fast_histogram
-from repro.core.merging import construct_histogram
 from repro.datasets import make_dow_dataset
 
 K = 20
-LINEAR_SIZES = (1024, 2048, 4096, 8192, 16384)
 DP_SIZES = (256, 512, 1024, 2048)
 
 
 @pytest.fixture(scope="module")
 def series():
-    return make_dow_dataset(n=max(LINEAR_SIZES), seed=7)
-
-
-@pytest.mark.parametrize("n", LINEAR_SIZES)
-def test_merging_scaling(benchmark, series, n):
-    values = series[:n]
-    hist = benchmark(lambda: construct_histogram(values, K, delta=1000.0))
-    benchmark.extra_info["n"] = n
-    benchmark.extra_info["pieces"] = hist.num_pieces
-
-
-@pytest.mark.parametrize("n", LINEAR_SIZES)
-def test_fastmerging_scaling(benchmark, series, n):
-    values = series[:n]
-    hist = benchmark(lambda: construct_fast_histogram(values, K, delta=1000.0))
-    benchmark.extra_info["n"] = n
-    benchmark.extra_info["pieces"] = hist.num_pieces
+    return make_dow_dataset(n=16384, seed=7)
 
 
 @pytest.mark.parametrize("n", DP_SIZES)

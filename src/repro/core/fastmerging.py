@@ -18,13 +18,13 @@ bounds the error of every flattened group.
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
 from .histogram import Histogram, flatten
 from .intervals import Partition, initial_partition
-from .merging import MergingResult, keep_count, target_pieces
+from .merging import MergingResult, _pair_rounds, keep_count, target_pieces
 from .prefix import PrefixSums
 from .sparse import SparseFunction
 
@@ -89,50 +89,37 @@ def construct_fast_histogram_partition(
     ps = PrefixSums(sparse)
 
     part = initial_partition(sparse)
-    rights = part.rights
-    initial = rights.size
-    target = target_pieces(k, delta, gamma)
-    spare = keep_count(k, delta)
-
-    rounds = 0
-    while rights.size > target:
-        s = rights.size
-        group_size = max(2, int(math.ceil(math.sqrt(s / spare))))
-        ngroups = s // group_size
-        if ngroups <= spare:
-            # Too few groups for aggressive merging to make progress; finish
-            # with plain binary pair rounds on the *current* interval set.
-            rights, extra = _finish_with_pairs(rights, ps, target, spare)
-            rounds += extra
-            break
-        rights = _group_round(rights, ps, group_size, spare)
-        rounds += 1
+    rights, rounds = _group_rounds(
+        part.rights, ps, target_pieces(k, delta, gamma), keep_count(k, delta)
+    )
 
     final = Partition(sparse.n, rights)
     hist = flatten(sparse, final, prefix=ps)
     return MergingResult(
-        histogram=hist, partition=final, rounds=rounds, initial_intervals=initial
+        histogram=hist,
+        partition=final,
+        rounds=rounds,
+        initial_intervals=part.num_intervals,
     )
 
 
-def _finish_with_pairs(
+def _group_rounds(
     rights: np.ndarray, prefix: PrefixSums, target: float, spare: int
-):
-    """Binary pair-merge rounds until at most ``target`` intervals remain.
+) -> Tuple[np.ndarray, int]:
+    """Group-merge rounds until at most ``target`` intervals remain.
 
-    Returns the new right endpoints and the number of rounds performed.
+    Returns the new right endpoints and the number of rounds run.
     """
-    from .merging import _merge_round  # shared single-round primitive
-
     rounds = 0
     while rights.size > target:
-        npairs = rights.size // 2
-        if npairs <= spare:
-            break
-        lefts = np.empty_like(rights)
-        lefts[0] = 0
-        lefts[1:] = rights[:-1] + 1
-        rights = _merge_round(rights, lefts, prefix, spare)
+        s = rights.size
+        group_size = max(2, int(math.ceil(math.sqrt(s / spare))))
+        if s // group_size <= spare:
+            # Too few groups for aggressive merging to make progress; finish
+            # with plain binary pair rounds on the *current* interval set.
+            rights, extra = _pair_rounds(rights, prefix, target, spare)
+            return rights, rounds + extra
+        rights = _group_round(rights, prefix, group_size, spare)
         rounds += 1
     return rights, rounds
 

@@ -122,17 +122,26 @@ def initial_partition(q: SparseFunction) -> Partition:
     reproduces ``q`` exactly: singletons are trivially exact, and zero-gap
     intervals have mean zero.
 
-    Returns a partition with at most ``6s + 1 = O(s)`` intervals.
+    Returns a partition with at most ``4s + 1 = O(s)`` intervals, built in
+    ``O(s)`` time with no sort and no hashing.
     """
     n = q.n
-    if q.sparsity == 0:
+    idx = q.indices
+    if idx.size == 0:
         return Partition.trivial(n)
-    neighbours = np.concatenate((q.indices - 1, q.indices, q.indices + 1))
-    relevant = np.unique(neighbours)
-    relevant = relevant[(relevant >= 0) & (relevant <= n - 1)]
-    # Cut after each relevant index (making it a singleton's right end) and
-    # after the position just before each relevant index (closing the
-    # preceding zero-gap, if any).
-    cuts = np.unique(np.concatenate((relevant, relevant - 1)))
-    cuts = cuts[cuts >= 0]
-    return Partition.from_boundaries(n, cuts)
+    # Cutting after each relevant index r in {i-1, i, i+1} (a singleton's
+    # right end) and after r - 1 (closing the zero gap before it, if any)
+    # puts right endpoints at {i-2, i-1, i, i+1} for every nonzero i.
+    # Row j of the window holds nonzero i_j's four cuts in increasing order;
+    # keeping only those past the previous row's last cut, i_{j-1} + 1,
+    # drops every duplicate, so the kept entries read row by row are
+    # already sorted and unique.  The first row's bound of -1 drops the
+    # negative cuts.
+    window = idx[:, None] + np.arange(-2, 2, dtype=np.int64)
+    prev_end = np.empty_like(idx)
+    prev_end[0] = -1
+    prev_end[1:] = idx[:-1] + 1
+    cuts = window[window > prev_end[:, None]]
+    # Only the last rows can reach n-1 or beyond; n-1 itself is appended.
+    cuts = cuts[: np.searchsorted(cuts, n - 1)]
+    return Partition(n, np.append(cuts, n - 1))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -102,6 +102,26 @@ def _merge_round(
     return rights[keep]
 
 
+def _pair_rounds(
+    rights: np.ndarray, prefix: PrefixSums, target: float, spare: int
+) -> Tuple[np.ndarray, int]:
+    """Pair-merge rounds until at most ``target`` intervals remain.
+
+    Returns the new right endpoints and the number of rounds run.
+    """
+    rounds = 0
+    while rights.size > target:
+        npairs = rights.size // 2
+        if npairs <= spare:
+            break  # every pair would be spared; no further progress possible
+        lefts = np.empty_like(rights)
+        lefts[0] = 0
+        lefts[1:] = rights[:-1] + 1
+        rights = _merge_round(rights, lefts, prefix, spare)
+        rounds += 1
+    return rights, rounds
+
+
 def construct_histogram_partition(
     q: Union[SparseFunction, np.ndarray],
     k: int,
@@ -137,26 +157,17 @@ def construct_histogram_partition(
     ps = prefix if prefix is not None else PrefixSums(sparse)
 
     part = initial_partition(sparse)
-    rights = part.rights
-    initial = rights.size
-    target = target_pieces(k, delta, gamma)
-    spare = keep_count(k, delta)
-
-    rounds = 0
-    while rights.size > target:
-        npairs = rights.size // 2
-        if npairs <= spare:
-            break  # every pair would be spared; no further progress possible
-        lefts = np.empty_like(rights)
-        lefts[0] = 0
-        lefts[1:] = rights[:-1] + 1
-        rights = _merge_round(rights, lefts, ps, spare)
-        rounds += 1
+    rights, rounds = _pair_rounds(
+        part.rights, ps, target_pieces(k, delta, gamma), keep_count(k, delta)
+    )
 
     final = Partition(sparse.n, rights)
     hist = flatten(sparse, final, prefix=ps)
     return MergingResult(
-        histogram=hist, partition=final, rounds=rounds, initial_intervals=initial
+        histogram=hist,
+        partition=final,
+        rounds=rounds,
+        initial_intervals=part.num_intervals,
     )
 
 

@@ -77,6 +77,7 @@ Dataset-building commands use the Table 1 datasets (``hist``, ``poly``,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import threading
 from pathlib import Path
@@ -887,6 +888,10 @@ def serve_main(
                     print(f"[{left}, {right}] mass={mass:.12g}", file=out)
             else:
                 print(f"unknown command {cmd!r}", file=out)
+        except BrokenPipeError:
+            # The reader of our output went away (``serve ... | grep -q``):
+            # nothing more can reach it, so stop serving quietly.
+            break
         except (
             KeyError,
             ValueError,
@@ -896,6 +901,13 @@ def serve_main(
         ) as exc:
             print(f"error: {exc}", file=out)
     stop_rebalancing.set()
+    try:
+        out.flush()  # a block-buffered pipe still holds the last lines
+    except BrokenPipeError:
+        if out is sys.stdout:
+            # Send them to devnull so the interpreter's exit flush does not
+            # fail on the closed pipe again and print "Exception ignored".
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
     return 0
 
 

@@ -33,7 +33,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
 
@@ -164,9 +164,20 @@ class HotnessTracker:
 
     def qps(self, name: str) -> float:
         """The decayed queries-per-second estimate for ``name``."""
+        return self.rates([name])[name]
+
+    def rates(self, names: Iterable[str]) -> Dict[str, float]:
+        """``{name: qps}`` for every name, all under one decay.
+
+        Each decay walks the whole map, so a caller that needs many
+        entries' rates asks for them here rather than name by name.
+        """
         with self._lock:
             self._decay_locked(self._clock())
-            return self._decayed.get(name, 0.0) * _LN2 / self.half_life_s
+            return {
+                name: self._decayed.get(name, 0.0) * _LN2 / self.half_life_s
+                for name in names
+            }
 
     def top(self, n: int = 10) -> List[Tuple[str, float]]:
         """The ``n`` hottest entries as ``(name, qps)``, hottest first."""
@@ -232,13 +243,6 @@ class Rebalancer:
 
     # ------------------------------------------------------------------ #
 
-    def _shard_loads(self, router) -> Dict[int, float]:
-        """Estimated QPS per shard."""
-        loads = {index: 0.0 for index in range(router.num_shards)}
-        for name in router.names():
-            loads[router.shard_map.shard_of(name)] += self.tracker.qps(name)
-        return loads
-
     def rebalance(self, router, fold: bool = True) -> List[RebalanceAction]:
         """Run one policy pass against ``router``; returns what changed.
 
@@ -248,7 +252,7 @@ class Rebalancer:
         if fold:
             self.tracker.fold(router.registry)
         actions: List[RebalanceAction] = []
-        rates = {name: self.tracker.qps(name) for name in router.names()}
+        rates = self.tracker.rates(router.names())
 
         # Promotion / demotion with hysteresis.
         for name, qps in rates.items():
@@ -264,17 +268,30 @@ class Rebalancer:
         # the least-loaded shard, hottest first, one placement at a time
         # so each decision sees the previous one's effect.
         if router.num_shards > 1:
+            # Estimated QPS per shard, as exact sums that each migration
+            # updates by moving its entry's rate.  Float sums leave residues
+            # of a few ulps, which moved an entry left alone on its shard,
+            # or one whose target carried exactly its competing load (and
+            # moved it back on the next pass).  Imported here, so a process
+            # that never rebalances does not load the module.
+            from fractions import Fraction
+
+            loads = {index: Fraction(0) for index in range(router.num_shards)}
+            for name, qps in rates.items():
+                loads[router.shard_map.shard_of(name)] += Fraction(qps)
             hot = sorted(
                 self._promoted, key=lambda n: rates[n], reverse=True
             )
             for name in hot:
-                loads = self._shard_loads(router)
                 source = router.shard_map.shard_of(name)
-                competing = loads[source] - rates[name]
+                rate = Fraction(rates[name])
+                competing = loads[source] - rate
                 target = min(loads, key=lambda index: loads[index])
                 if competing <= 0 or loads[target] >= competing:
                     continue  # already alone, or nowhere better
                 router.migrate(name, target)
+                loads[source] -= rate
+                loads[target] += rate
                 actions.append(
                     RebalanceAction(
                         "migrate", name, source, target, rates[name]

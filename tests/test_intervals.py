@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import Partition, SparseFunction, flatten, initial_partition
 
@@ -145,3 +146,70 @@ class TestInitialPartition:
         part = initial_partition(q)
         assert part.rights[-1] == q.n - 1
         assert int(part.lengths().sum()) == q.n
+
+
+def reference_rights(n, indices):
+    """``I_0``'s right endpoints straight from the paper's definition.
+
+    ``J = {i-1, i, i+1} & [0, n-1]`` over the nonzeros ``i``, as a dense
+    mask.  Every ``j`` in ``J`` is a singleton, so ``j`` and ``j - 1`` end
+    intervals; every maximal zero gap is one interval, so it ends only
+    where ``J`` resumes or at ``n - 1``.
+    """
+    relevant = np.zeros(n + 2, dtype=bool)  # one pad cell on each side
+    for i in indices:
+        relevant[i : i + 3] = True  # positions i-1, i, i+1, shifted by one
+    relevant = relevant[1 : n + 1]
+    ends = relevant.copy()
+    ends[:-1] |= relevant[1:]
+    ends[-1] = True
+    return np.flatnonzero(ends)
+
+
+@st.composite
+def nonzero_masks(draw, max_n=80):
+    """Universes with any density, often with nonzeros at 0 and n - 1."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return n, [i for i, hit in enumerate(mask) if hit]
+
+
+class TestInitialPartitionMatchesDefinition:
+    """The O(s) window construction against the O(n) dense definition."""
+
+    @staticmethod
+    def _rights(n, indices):
+        q = SparseFunction(n, indices, np.ones(len(indices)))
+        rights = initial_partition(q).rights
+        assert rights.dtype == np.int64
+        return rights
+
+    @given(nonzero_masks())
+    def test_matches_dense_reference(self, case):
+        n, indices = case
+        np.testing.assert_array_equal(
+            self._rights(n, indices), reference_rights(n, indices)
+        )
+
+    @pytest.mark.parametrize(
+        "n, indices, expected",
+        [
+            (10, [], [9]),  # s = 0
+            (1, [], [0]),
+            (1, [0], [0]),  # n = 1
+            (2, [0], [0, 1]),  # n = 2
+            (2, [1], [0, 1]),
+            (2, [0, 1], [0, 1]),
+            (10, [0], [0, 1, 9]),  # nonzero at 0
+            (10, [9], [7, 8, 9]),  # nonzero at n - 1
+            (10, [0, 9], [0, 1, 7, 8, 9]),
+            (10, [4, 5], [2, 3, 4, 5, 6, 9]),  # adjacent
+            (10, [2, 4], [0, 1, 2, 3, 4, 5, 9]),  # 2 apart: windows overlap
+            (10, [2, 5], [0, 1, 2, 3, 4, 5, 6, 9]),  # 3 apart: J runs touch
+            (10, [2, 6], [0, 1, 2, 3, 4, 5, 6, 7, 9]),  # 4 apart: windows touch
+            (12, [2, 7], [0, 1, 2, 3, 5, 6, 7, 8, 11]),  # 5 apart: one zero gap
+        ],
+    )
+    def test_edges(self, n, indices, expected):
+        np.testing.assert_array_equal(self._rights(n, indices), expected)
+        np.testing.assert_array_equal(reference_rights(n, indices), expected)

@@ -36,6 +36,18 @@ class FakeClock:
         self.now += dt
 
 
+class CountingClock(FakeClock):
+    """A fake clock that counts how often it is read."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+
+    def __call__(self):
+        self.reads += 1
+        return self.now
+
+
 def make_tracker(half_life_s=10.0):
     clock = FakeClock()
     return HotnessTracker(half_life_s=half_life_s, clock=clock), clock
@@ -243,6 +255,65 @@ class TestRebalancer:
         assert fresh.rebalance(router, fold=False) == []
         (again,) = policy.rebalance(router, fold=False)
         assert again.name == "a" and again.target != 0
+
+    def test_pass_reads_clock_a_constant_number_of_times(self):
+        # One decay per pass, whatever the entry count: a pass that asked
+        # the tracker name by name re-decayed the whole map each time, so
+        # its cost grew as hot x entries x tracked.
+        reads = {}
+        for entries in (3, 24):
+            router = ShardRouter(num_shards=2)
+            vals = np.random.default_rng(0).random(64) + 0.01
+            for index in range(entries):
+                router.register(f"e{index}", vals, family="merging", k=2)
+                router.migrate(f"e{index}", 0)
+            clock = CountingClock()
+            tracker = HotnessTracker(half_life_s=10.0, clock=clock)
+            for index in range(entries):
+                tracker.observe(f"e{index}", 100 + index)
+            policy = Rebalancer(tracker, hot_qps=1.0)
+            clock.reads = 0
+            actions = policy.rebalance(router, fold=False)
+            reads[entries] = clock.reads
+            # Every entry is hot and crowded onto shard 0, so moves happen.
+            assert actions and all(act.target == 1 for act in actions)
+        assert reads == {3: 1, 24: 1}
+
+    def test_entry_left_alone_by_moves_stays_put(self):
+        # Rates whose float sum does not cancel: taking a's rate back out
+        # of shard 0's load leaves about 1e-18 over b's.  Once "a" leaves,
+        # "b" is alone there and must see zero competing load, or it would
+        # chase an idle shard.
+        router = build_router()
+        for name in ("a", "b"):
+            router.migrate(name, 0)
+        router.migrate("c", 1)
+        tracker, _clock = make_tracker(half_life_s=10.0)
+        tracker.observe("a", 0.3)
+        tracker.observe("b", 0.1)
+        tracker.observe("c", 0.2)
+        policy = Rebalancer(tracker, hot_qps=0.001)
+        actions = policy.rebalance(router, fold=False)
+        assert [(act.name, act.source, act.target) for act in actions] == [
+            ("a", 0, 2)
+        ]
+        assert router.shard_map.shard_of("b") == 0
+
+    def test_equal_load_elsewhere_is_not_better(self):
+        # "a" competes with b's load on shard 0, and shard 1 carries exactly
+        # that load: a move would only swap the imbalance.  Float sums left
+        # a competing load a few ulps above it, which moved "a" to shard 1
+        # and, on the next pass, back again.
+        router = build_router(num_shards=2)
+        for name, shard in (("a", 0), ("b", 0), ("c", 1)):
+            router.migrate(name, shard)
+        tracker, _clock = make_tracker(half_life_s=10.0)
+        tracker.observe("a", 0.3)
+        tracker.observe("b", 0.1)
+        tracker.observe("c", 0.1)
+        policy = Rebalancer(tracker, hot_qps=0.01)
+        assert policy.rebalance(router, fold=False) == []
+        assert policy.rebalance(router, fold=False) == []
 
     def test_rebalance_folds_live_registry_by_default(self):
         # End to end without observe(): real queries through the router

@@ -1,7 +1,11 @@
 """Tests for the synopsis serving engine (repro.serve)."""
 
 import io
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -641,6 +645,24 @@ class TestInnerProduct:
         assert results[0].version == router["a"].version
 
 
+def _serve_subprocess(unbuffered: bool) -> subprocess.Popen:
+    """``python -m repro serve`` over one merging synopsis, every pipe open."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--n", "256", "--k", "4",
+         "--families", "merging"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+
+
 class TestServeCLI:
     def test_query_subcommand(self, capsys):
         assert main(["query", "--n", "512", "--k", "4", "--num-queries", "100"]) == 0
@@ -680,6 +702,56 @@ class TestServeCLI:
         assert "mass=" in text
         assert "unknown command 'bad'" in text
         assert "error:" in text
+
+    def test_serve_stops_quietly_when_reader_closes(self, tmp_path):
+        # ``serve ... | grep -q`` closes the pipe while the REPL still has
+        # output to write: the loop must end without a traceback, and a
+        # save issued before the close must be complete on disk.
+        target = tmp_path / "saved"
+        proc = _serve_subprocess(unbuffered=True)  # each line goes out
+        try:
+            proc.stdin.write(f"save {target}\n")
+            proc.stdin.flush()
+            assert proc.stdout.readline().startswith("serving 1 synopses")
+            assert proc.stdout.readline().startswith("saved 1 entries")
+            proc.stdout.close()
+            _, stderr = proc.communicate("summary\n" * 50 + "quit\n", timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 0, stderr
+        assert stderr == ""
+        store = SynopsisStore.load(target, lazy=False)  # reads every payload
+        assert store.names() == ["merging"]
+        assert np.isfinite(QueryEngine(store).range_sum("merging", 0, 255))
+
+    @pytest.mark.parametrize(
+        "summaries",
+        [
+            1,  # all output still buffered: only the final flush fails
+            400,  # ~32 KB of output: a flush in the middle of the loop fails
+        ],
+    )
+    def test_serve_stops_quietly_when_buffered_reader_closes(
+        self, tmp_path, summaries
+    ):
+        # A block-buffered stdout (any real pipeline) writes nothing until
+        # 8 KB or exit, so the reader can close before the first write.
+        target = tmp_path / "saved"
+        proc = _serve_subprocess(unbuffered=False)
+        try:
+            proc.stdout.close()
+            _, stderr = proc.communicate(
+                f"save {target}\n" + "summary\n" * summaries + "quit\n",
+                timeout=60,
+            )
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 0, stderr
+        assert stderr == ""
+        store = SynopsisStore.load(target, lazy=False)
+        assert store.names() == ["merging"]
 
     def test_unknown_command_still_errors(self, capsys):
         assert main(["bogus"]) == 2
