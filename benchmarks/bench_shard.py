@@ -5,27 +5,35 @@ a small batched query addressed to one of W named synopses.  The
 **single-engine baseline** answers them the only way a one-store,
 one-engine deployment can — request at a time, paying the Python dispatch
 price per request.  The **sharded front end**
-(:class:`repro.serve.frontend.AsyncServingFrontend`) routes the same
-requests per shard, *coalesces* same-``(name, kind)`` requests within a
-shard into one vectorized engine call, and fans the per-shard work out on
-a thread pool.
+(:class:`repro.serve.frontend.AsyncServingFrontend`) groups the same
+requests by ``(name, kind)`` in one pass, routes each group once, and
+answers each group with one vectorized engine call.
 
-Two independent effects add up:
+Two effects add up:
 
-* **Coalescing** amortizes per-request dispatch across every request that
-  hits the same entry — a pure architecture win that holds even on one
-  core (and is what the ≥2x acceptance assertion below relies on, so CI
-  boxes with a single CPU still demonstrate it honestly).
-* **Shard parallelism** runs the per-shard numeric work concurrently;
-  NumPy releases the GIL in the hot kernels, so on an M-core host the
-  shard-count scaling column below improves up to ~min(shards, M)x on
-  top.
+* **Columnar batches** amortize per-request dispatch across every request
+  that hits the same entry — a pure architecture win that holds even on
+  one core.  Scalar requests pack into one argument column per group
+  with no NumPy call per request.
+* **Shard parallelism**: a batch whose shard jobs each carry at least
+  ``FAN_OUT_POINTS`` query points runs one pool job per shard, and NumPy
+  releases the GIL in the hot kernels, so the shards' kernels overlap on
+  a multicore host.  A lighter batch runs its shard jobs in order on one
+  pool thread.
 
-``test_sharded_speedup_at_4_shards`` is the regression gate: the 4-shard
-front end must beat the single-engine baseline by >= 2x on the same
-workload.  Run the file directly (or via pytest) for the full scaling
-table at 1 / 2 / 4 shards.  Every run refreshes ``BENCH_shard.json`` at
-the repo root with that table, the core count, and each gate's outcome.
+Three legs, each checked answer for answer against the baseline:
+
+* the multi-name table at 1 / 2 / 4 shards (2,048 requests x 32 ranges);
+  ``test_sharded_speedup_at_4_shards`` gates the 4-shard front end at
+  >= 2x the baseline;
+* a 10k-request batch of scalar range sums over 16 entries on 2 shards,
+  gated at >= 8x the baseline (``test_scalar_batch_speedup``);
+* a kernel-heavy batch, 256 requests x 1,024 ranges on 2 shards, whose
+  shard jobs each carry more than ``FAN_OUT_POINTS`` points, so it runs
+  on the fan-out side of the rule (``test_kernel_heavy_leg_fans_out``).
+
+Every run refreshes ``BENCH_shard.json`` at the repo root with each leg's
+timings, the core count, and each gate's outcome.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ import numpy as np
 import pytest
 
 from repro.serve.engine import QueryEngine
-from repro.serve.frontend import AsyncServingFrontend, QueryRequest
+from repro.serve.frontend import FAN_OUT_POINTS, AsyncServingFrontend, QueryRequest
 from repro.serve.router import ShardRouter
 from repro.serve.store import SynopsisStore
 
@@ -54,6 +62,14 @@ SHARD_COUNTS = (1, 2, 4)
 REPEATS = 5
 SHARD_GATE = 2.0
 
+SCALAR_REQUESTS = 10_000
+SCALAR_SHARDS = 2
+SCALAR_GATE = 8.0
+
+HEAVY_REQUESTS = 256
+HEAVY_RANGES = 1_024
+HEAVY_SHARDS = 2
+
 
 def _signals():
     rng = np.random.default_rng(7)
@@ -63,23 +79,36 @@ def _signals():
     }
 
 
-def _requests():
-    """The shared workload: small batched range sums over random names."""
-    rng = np.random.default_rng(13)
+def _requests(count=NUM_REQUESTS, ranges=BATCH_PER_REQUEST, seed=13):
+    """Batched range sums over random names, ``ranges`` per request."""
+    rng = np.random.default_rng(seed)
     names = [f"series-{i:02d}" for i in range(NUM_NAMES)]
     requests = []
-    for _ in range(NUM_REQUESTS):
+    for _ in range(count):
         name = names[int(rng.integers(NUM_NAMES))]
-        a = rng.integers(0, UNIVERSE, BATCH_PER_REQUEST)
-        b = rng.integers(0, UNIVERSE, BATCH_PER_REQUEST)
+        a = rng.integers(0, UNIVERSE, ranges)
+        b = rng.integers(0, UNIVERSE, ranges)
         a, b = np.minimum(a, b), np.maximum(a, b)
         requests.append(QueryRequest("range_sum", name, (a, b)))
     return requests
 
 
+def _scalar_requests():
+    """One scalar range sum per request, as Python ints."""
+    rng = np.random.default_rng(17)
+    names = [f"series-{i:02d}" for i in range(NUM_NAMES)]
+    codes = rng.integers(NUM_NAMES, size=SCALAR_REQUESTS).tolist()
+    a = rng.integers(0, UNIVERSE, SCALAR_REQUESTS)
+    b = rng.integers(0, UNIVERSE, SCALAR_REQUESTS)
+    lo, hi = np.minimum(a, b).tolist(), np.maximum(a, b).tolist()
+    return [
+        QueryRequest("range_sum", names[c], (x, y))
+        for c, x, y in zip(codes, lo, hi)
+    ]
+
+
 def _build_workload():
     signals = _signals()
-    requests = _requests()
 
     store = SynopsisStore()
     for name, values in signals.items():
@@ -96,7 +125,7 @@ def _build_workload():
             router.register(name, values, family="exact", k=1)
         router.warm()
         routers[shards] = router
-    return engine, routers, requests
+    return engine, routers
 
 
 @pytest.fixture(scope="module")
@@ -104,9 +133,9 @@ def workload():
     return _build_workload()
 
 
-def _time_best(fn, repeats=REPEATS):
+def _time_best(fn):
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
@@ -124,102 +153,180 @@ def _verify(results, expected):
     assert len(results) == len(expected)
     for result, want in zip(results, expected):
         assert result.ok, result.error
+        assert type(result.value) is type(want)
         np.testing.assert_array_equal(result.value, want)
 
 
-def run_comparison(workload, verbose=True):
-    engine, routers, requests = workload
+def _baseline(engine, requests):
+    """The baseline's answers and its best time."""
     expected = _baseline_pass(engine, requests)
-    baseline = _time_best(lambda: _baseline_pass(engine, requests))
+    return expected, _time_best(lambda: _baseline_pass(engine, requests))
+
+
+def _frontend_time(router, requests, expected):
+    """The front end's best time on ``requests``, after checking its
+    answers against ``expected``."""
+    with AsyncServingFrontend(router) as frontend:
+        _verify(frontend.serve(requests), expected)  # same answers
+        return _time_best(lambda: frontend.serve(requests))
+
+
+def _row(baseline, elapsed):
+    return {
+        "baseline_ms": baseline * 1e3,
+        "frontend_ms": elapsed * 1e3,
+        "speedup_x": baseline / elapsed,
+    }
+
+
+def run_comparison(workload):
+    engine, routers = workload
+    print(f"\ncpus={os.cpu_count()}")
+    requests = _requests()
+    expected, baseline = _baseline(engine, requests)
     total_queries = NUM_REQUESTS * BATCH_PER_REQUEST
-    rows = {}
-    if verbose:
-        print(
-            f"\nworkload: {NUM_REQUESTS} requests x {BATCH_PER_REQUEST} "
-            f"range sums over {NUM_NAMES} names (n={UNIVERSE}), "
-            f"cpus={os.cpu_count()}"
-        )
-        print(
-            f"single-engine baseline: {baseline * 1e3:8.2f}ms  "
-            f"{total_queries / baseline:12,.0f} q/s"
-        )
+    print(
+        f"multi-name: {NUM_REQUESTS} requests x {BATCH_PER_REQUEST} "
+        f"range sums over {NUM_NAMES} names (n={UNIVERSE}); "
+        f"single-engine baseline {baseline * 1e3:8.2f}ms"
+    )
+    legs = {"multi_name": {}}
     for shards, router in routers.items():
-        with AsyncServingFrontend(router) as frontend:
-            _verify(frontend.serve(requests), expected)  # same answers
-            elapsed = _time_best(lambda: frontend.serve(requests))
-        rows[shards] = baseline / elapsed
-        if verbose:
-            print(
-                f"front end, {shards} shard(s):  {elapsed * 1e3:8.2f}ms  "
-                f"{total_queries / elapsed:12,.0f} q/s  "
-                f"speedup {baseline / elapsed:5.2f}x"
-            )
-    return rows
+        elapsed = _frontend_time(router, requests, expected)
+        legs["multi_name"][str(shards)] = _row(baseline, elapsed)
+        print(
+            f"  {shards} shard(s): {elapsed * 1e3:8.2f}ms  "
+            f"{total_queries / elapsed:12,.0f} q/s  "
+            f"speedup {baseline / elapsed:5.2f}x"
+        )
+
+    requests = _scalar_requests()
+    expected, baseline = _baseline(engine, requests)
+    elapsed = _frontend_time(routers[SCALAR_SHARDS], requests, expected)
+    legs["scalar_10k"] = _row(baseline, elapsed)
+    print(
+        f"scalar: {SCALAR_REQUESTS} scalar range sums, {SCALAR_SHARDS} shards: "
+        f"baseline {baseline * 1e3:8.2f}ms  front end {elapsed * 1e3:8.2f}ms  "
+        f"speedup {baseline / elapsed:5.2f}x"
+    )
+
+    router = routers[HEAVY_SHARDS]
+    requests = _requests(HEAVY_REQUESTS, HEAVY_RANGES, seed=19)
+    points = {}
+    for request in requests:
+        shard = router.shard_map.shard_of(request.name)
+        points[shard] = points.get(shard, 0) + request.args[0].size
+    expected, baseline = _baseline(engine, requests)
+    elapsed = _frontend_time(router, requests, expected)
+    legs["kernel_heavy"] = dict(
+        _row(baseline, elapsed),
+        points_per_shard_job=[points[s] for s in sorted(points)],
+    )
+    print(
+        f"kernel-heavy: {HEAVY_REQUESTS} requests x {HEAVY_RANGES} ranges, "
+        f"{HEAVY_SHARDS} shards (points per shard job "
+        f"{sorted(points.values())}, fan-out at {FAN_OUT_POINTS}): "
+        f"baseline {baseline * 1e3:8.2f}ms  front end {elapsed * 1e3:8.2f}ms  "
+        f"speedup {baseline / elapsed:5.2f}x"
+    )
+    return legs
 
 
-def _record(shard_rows):
+def _gates(legs):
+    """``{gate: passed}`` for every gate of the file."""
+    multi = legs["multi_name"]
+    return {
+        f"4 shards >= {SHARD_GATE}x single-engine baseline": (
+            multi["4"]["speedup_x"] >= SHARD_GATE
+        ),
+        "every shard count >= 1x single-engine baseline": min(
+            row["speedup_x"] for row in multi.values()
+        ) >= 1.0,
+        f"10k scalar batch, {SCALAR_SHARDS} shards >= {SCALAR_GATE}x "
+        "single-engine baseline": legs["scalar_10k"]["speedup_x"] >= SCALAR_GATE,
+        f"kernel-heavy shard jobs each carry > {FAN_OUT_POINTS} points": min(
+            legs["kernel_heavy"]["points_per_shard_job"]
+        ) > FAN_OUT_POINTS,
+    }
+
+
+def _record(legs):
     """Refresh the perf-trajectory file with this run's measurements."""
     payload = {
         "benchmark": "bench_shard",
         "workload": (
-            f"{NUM_REQUESTS} requests x {BATCH_PER_REQUEST} range sums "
-            f"over {NUM_NAMES} names (n={UNIVERSE})"
+            f"multi_name: {NUM_REQUESTS} requests x {BATCH_PER_REQUEST} "
+            f"range sums over {NUM_NAMES} names (n={UNIVERSE}); "
+            f"scalar_10k: {SCALAR_REQUESTS} scalar range sums, "
+            f"{SCALAR_SHARDS} shards; kernel_heavy: {HEAVY_REQUESTS} "
+            f"requests x {HEAVY_RANGES} range sums, {HEAVY_SHARDS} shards"
         ),
         "cpus": os.cpu_count(),
+        "fan_out_points": FAN_OUT_POINTS,
         "gates": [
-            {
-                "gate": f"4 shards >= {SHARD_GATE}x single-engine baseline",
-                "ran": True,
-                "passed": shard_rows[4] >= SHARD_GATE,
-            },
-            {
-                "gate": "every shard count >= 1x single-engine baseline",
-                "ran": True,
-                "passed": min(shard_rows.values()) >= 1.0,
-            },
+            {"gate": gate, "ran": True, "passed": passed}
+            for gate, passed in _gates(legs).items()
         ],
+        "legs": legs,
         "in_process_speedup_x": {
-            str(shards): speedup for shards, speedup in shard_rows.items()
+            shards: row["speedup_x"] for shards, row in legs["multi_name"].items()
         },
     }
     RESULTS_PATH.write_text(json.dumps(payload, indent=1) + "\n")
 
 
 @pytest.fixture(scope="module")
-def comparison_rows(workload):
+def comparison_legs(workload):
     # One timing pass shared by every test: re-running the full comparison
     # would double the CI bench-smoke job's measurement work and let the
     # gates see different timings of the same workload.
-    rows = run_comparison(workload)
-    _record(rows)
-    return rows
+    legs = run_comparison(workload)
+    _record(legs)
+    return legs
 
 
-def test_sharded_speedup_at_4_shards(comparison_rows):
+def test_sharded_speedup_at_4_shards(comparison_legs):
     """Acceptance gate: >= 2x multi-name batched throughput at 4 shards
     versus the single-engine baseline on the same workload."""
-    assert comparison_rows[4] >= SHARD_GATE, (
-        f"4-shard speedup only {comparison_rows[4]:.2f}x"
-    )
+    speedup = comparison_legs["multi_name"]["4"]["speedup_x"]
+    assert speedup >= SHARD_GATE, f"4-shard speedup only {speedup:.2f}x"
 
 
-def test_scaling_is_monotone_in_coverage(comparison_rows):
+def test_scaling_is_monotone_in_coverage(comparison_legs):
     """Every shard count must at least hold its ground against baseline.
 
     (Strict monotonicity in the shard count needs real cores; on a
     single-CPU runner the 1/2/4-shard columns all collapse onto the
     coalescing win, so only the floor is asserted.)
     """
-    for shards, speedup in comparison_rows.items():
-        assert speedup >= 1.0, f"{shards} shard(s) slower than baseline"
+    for shards, row in comparison_legs["multi_name"].items():
+        assert row["speedup_x"] >= 1.0, f"{shards} shard(s) slower than baseline"
 
 
-def test_results_file_written(comparison_rows):
+def test_scalar_batch_speedup(comparison_legs):
+    """Gate: a 10k-request scalar batch on 2 shards answers >= 8x faster
+    than the single-engine request-at-a-time loop."""
+    speedup = comparison_legs["scalar_10k"]["speedup_x"]
+    assert speedup >= SCALAR_GATE, f"10k scalar speedup only {speedup:.2f}x"
+
+
+def test_kernel_heavy_leg_fans_out(comparison_legs):
+    """The kernel-heavy leg answered exactly (checked inside the leg) and
+    every one of its shard jobs carries more than ``FAN_OUT_POINTS``
+    points, so the fan-out side of the rule stays covered."""
+    points = comparison_legs["kernel_heavy"]["points_per_shard_job"]
+    assert len(points) == HEAVY_SHARDS
+    assert min(points) > FAN_OUT_POINTS, points
+
+
+def test_results_file_written(comparison_legs):
     payload = json.loads(RESULTS_PATH.read_text())
     assert payload["benchmark"] == "bench_shard"
     assert set(payload["in_process_speedup_x"]) == {
         str(shards) for shards in SHARD_COUNTS
     }
+    assert set(payload["legs"]) == {"multi_name", "scalar_10k", "kernel_heavy"}
+    assert all(gate["ran"] for gate in payload["gates"])
 
 
 if __name__ == "__main__":

@@ -3,20 +3,26 @@
 :class:`AsyncServingFrontend` accepts one *multi-name batch* — a list of
 :class:`QueryRequest` objects, each itself a vectorized query (range_sum /
 range_mean / point_mass / cdf / quantile / top_k / inner_product /
-heavy_hitters) addressed to one entry —
-fans the batch out per shard, runs each shard's work on a thread pool
-(NumPy releases the GIL in the hot kernels, so shards evaluate truly
-concurrently on multicore hosts), and reassembles the answers in request
-order.
+heavy_hitters) addressed to one entry — and answers it column by column:
 
-Within a shard the front end *coalesces*: requests addressed to the same
-``(name, kind)`` are concatenated into a single vectorized engine call and
-the answer is split back per request.  That amortizes the per-request
-Python dispatch across the group — the dominant cost for real serving
-traffic, where millions of users each send small batches — and is why the
-sharded front end beats a request-at-a-time single engine even on one
-core.  A request that fails validation inside a coalesced group is
-retried individually, so one bad range cannot poison its neighbors.
+* One Python pass groups the batch by ``(entry, kind)`` and routes each
+  group, not each request, to the shard its entry lives on.
+* Within a shard job every same-``(entry, kind)`` group is answered by one
+  vectorized :class:`~repro.serve.engine.PrefixTable` call.  A group of
+  scalar requests packs its arguments into one array per argument
+  position and unpacks the answer with one ``tolist()``; a group holding
+  a 1-D request broadcasts each request's own arguments before stacking
+  them and copies each request's slice back out.  N-d arguments and the
+  kinds that do not stack (top_k, inner_product, heavy_hitters) are
+  served one request at a time.  If a group's call raises (one request
+  holds an invalid position), its requests are re-served one by one, so
+  only the offender reports an error.
+* A *light* batch runs all its shard jobs in order inside one pool job:
+  per-request Python, not kernel time, dominates such a batch, and two
+  pool threads would only take turns on the interpreter lock.  Only when
+  at least two shard jobs each carry :data:`FAN_OUT_POINTS` query points
+  does each shard job run as its own pool job, so that the shards'
+  NumPy kernels (which release the GIL) overlap on multicore hosts.
 
 Every :class:`QueryResult` carries the store *version* its answer was
 computed from.  Versions come from the engine's atomic
@@ -39,7 +45,8 @@ import time
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +101,22 @@ QUERY_KINDS: Dict[str, int] = {
 # individually.
 _COALESCIBLE = ("range_sum", "range_mean", "point_mass", "cdf", "quantile")
 
+# Arguments of these types are scalars that pack into one column with no
+# NumPy call per request.  Anything else (0-d arrays included) goes
+# through the per-request broadcast.
+_SCALAR_TYPES = (int, float, np.generic)
+
+#: Query points per shard job at which a batch fans out.  A scalar
+#: request counts one point, an array request its broadcast length, a
+#: request of a kind that does not stack one.  When at least two shard
+#: jobs each carry this many points, every shard job runs as its own pool
+#: job; otherwise one pool job runs them all in order.  Set from the
+#: crossover measured on 2 CPUs over 2 shards of 16 entries: on 8-piece
+#: tables the two were even at about 32k points per shard job and
+#: fan-out won by 13% at 64k; on 16k-piece tables fan-out won from 16k
+#: points up, and one thread won by 26% at 4k.
+FAN_OUT_POINTS = 32_768
+
 _REQUEST_ERRORS = (KeyError, ValueError, IndexError, TypeError, StoreCorruptionError)
 
 
@@ -106,7 +129,8 @@ class QueryRequest:
     args: Tuple[Any, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in QUERY_KINDS:
+        arity = QUERY_KINDS.get(self.kind)
+        if arity is None:
             raise ValueError(
                 f"unknown query kind {self.kind!r}; "
                 f"supported: {', '.join(QUERY_KINDS)}"
@@ -116,23 +140,25 @@ class QueryRequest:
         # request like args={"q": 0.5} or args="ab" would sail past the
         # arity test below only to die deep inside evaluation with a
         # baffling dtype error ("could not convert string to float: 'q'").
-        if isinstance(self.args, (str, bytes)) or isinstance(self.args, Mapping):
-            raise TypeError(
-                f"args must be a tuple of positional arguments "
-                f"(e.g. {self._positional_form()}), got "
-                f"{type(self.args).__name__} {self.args!r}"
-            )
-        try:
-            object.__setattr__(self, "args", tuple(self.args))
-        except TypeError:
-            raise TypeError(
-                f"args must be a tuple of positional arguments "
-                f"(e.g. {self._positional_form()}), got "
-                f"{type(self.args).__name__}"
-            ) from None
-        if len(self.args) != QUERY_KINDS[self.kind]:
+        # A plain tuple, the common case, needs none of it.
+        if type(self.args) is not tuple:
+            if isinstance(self.args, (str, bytes)) or isinstance(self.args, Mapping):
+                raise TypeError(
+                    f"args must be a tuple of positional arguments "
+                    f"(e.g. {self._positional_form()}), got "
+                    f"{type(self.args).__name__} {self.args!r}"
+                )
+            try:
+                object.__setattr__(self, "args", tuple(self.args))
+            except TypeError:
+                raise TypeError(
+                    f"args must be a tuple of positional arguments "
+                    f"(e.g. {self._positional_form()}), got "
+                    f"{type(self.args).__name__}"
+                ) from None
+        if len(self.args) != arity:
             raise ValueError(
-                f"{self.kind} takes {QUERY_KINDS[self.kind]} positional "
+                f"{self.kind} takes {arity} positional "
                 f"argument(s) {self._positional_form()}, got {len(self.args)}"
             )
 
@@ -167,15 +193,30 @@ def _evaluate(table, kind: str, args: Tuple[Any, ...]):
     return getattr(table, kind)(*args)
 
 
+def _run_in_order(
+    jobs: List[Callable[[], List[QueryResult]]]
+) -> List[List[QueryResult]]:
+    """A light batch's one pool job: every shard job, one after another."""
+    return [job() for job in jobs]
+
+
 class AsyncServingFrontend:
     """Concurrent batched queries and writes over a sharded store.
+
+    A batch is grouped by ``(entry, kind)`` and routed once per group;
+    each shard's groups form one shard job.  A light batch runs its shard
+    jobs in order as one pool job; a batch in which at least two shard
+    jobs each carry :data:`FAN_OUT_POINTS` query points runs one pool job
+    per shard.  Writes and group-by queries also run on the pool, so the
+    event loop never evaluates anything itself.
 
     Parameters
     ----------
     router:
-        The shard router to serve, with one pool thread per shard.  A
-        one-shard router is fine; the front end then degenerates to
-        coalescing plus a single worker.
+        The shard router to serve.  The pool holds as many threads as
+        the router has shards, so a heavy batch can run every shard job
+        at once beside writes.  A one-shard router is fine; the front end
+        then degenerates to coalescing plus a single worker.
     registry:
         Metrics registry to report into; defaults to the router's, so the
         front end's counters live next to the per-shard engine series in
@@ -294,52 +335,53 @@ class AsyncServingFrontend:
     ) -> List[QueryResult]:
         """Answer a multi-name batch; results come back in request order.
 
-        Requests are grouped per shard and each shard's group runs as one
-        thread-pool job; the ``asyncio.gather`` below is the only
-        synchronization point, so slow shards never block fast ones from
-        *starting*.  Per-request failures (unknown name, bad range,
-        corrupt payload) are reported in ``QueryResult.error`` rather
-        than raised, keeping one poisoned request from failing the batch.
+        The batch is grouped by ``(entry, kind)`` in one pass and each
+        group is routed once.  A light batch runs every shard job in
+        order as one thread-pool job; a heavy one (see
+        :data:`FAN_OUT_POINTS`) runs one job per shard, and the
+        ``asyncio.gather`` below is then the only synchronization point,
+        so slow shards never block fast ones from *starting*.
+        Per-request failures (unknown name, bad range, corrupt payload)
+        are reported in ``QueryResult.error`` rather than raised,
+        keeping one poisoned request from failing the batch.
         """
         started = time.perf_counter()
         trace = TraceContext("query_batch")
-        indexed = list(enumerate(requests))
+        requests = list(requests)
+        count = len(requests)
         self._c_batches.inc()
-        self._c_requests.inc(len(indexed))
-        self._h_batch_size.observe(max(len(indexed), 1))
-        with trace.span("route", requests=len(indexed)):
-            shard_of = self.router.shard_map.shard_of
-            by_shard: Dict[int, List[Tuple[int, QueryRequest]]] = {}
-            group_items: List[Tuple[int, QueryRequest]] = []
-            for index, request in indexed:
-                if request.kind in _GROUP_KINDS:
-                    # Group kinds span shards; they run as their own
-                    # pool job instead of landing on any one shard.
-                    group_items.append((index, request))
-                    continue
-                by_shard.setdefault(shard_of(request.name), []).append(
-                    (index, request)
+        self._c_requests.inc(count)
+        self._h_batch_size.observe(max(count, 1))
+        with trace.span("route", requests=count):
+            by_shard, points, group_items = self._route(requests)
+            jobs: List[Callable[[], List[QueryResult]]] = [
+                partial(
+                    self._serve_shard,
+                    self.router.shards[s],
+                    requests,
+                    groups,
+                    trace,
                 )
+                for s, groups in by_shard.items()
+            ]
+            if group_items:
+                # Group kinds span shards; they run as their own job
+                # instead of landing on any one shard.
+                jobs.append(partial(self._serve_groups, group_items, trace))
+            fan_out = (
+                sum(1 for p in points.values() if p >= FAN_OUT_POINTS) >= 2
+            )
         loop = asyncio.get_running_loop()
-        jobs = [
-            loop.run_in_executor(
-                self._executor,
-                self._serve_shard,
-                self.router.shards[s],
-                items,
-                trace,
+        if fan_out:
+            gathered = await asyncio.gather(
+                *(loop.run_in_executor(self._executor, job) for job in jobs)
             )
-            for s, items in by_shard.items()
-        ]
-        if group_items:
-            jobs.append(
-                loop.run_in_executor(
-                    self._executor, self._serve_groups, group_items, trace
-                )
+        else:
+            gathered = await loop.run_in_executor(
+                self._executor, _run_in_order, jobs
             )
-        gathered = await asyncio.gather(*jobs)
         with trace.span("reassemble"):
-            results: List[Optional[QueryResult]] = [None] * len(indexed)
+            results: List[Optional[QueryResult]] = [None] * count
             for shard_results in gathered:
                 for result in shard_results:
                     results[result.index] = result
@@ -353,21 +395,63 @@ class AsyncServingFrontend:
         with trace.bound():  # attach the trace id to the slow-log entry
             self.slow_log.record(
                 "query_batch",
-                f"batch[{len(indexed)}]",
+                f"batch[{count}]",
                 elapsed,
-                requests=len(indexed),
+                requests=count,
                 shards=len(by_shard),
                 errors=errors,
             )
         return ordered
 
+    def _route(
+        self, requests: Sequence[QueryRequest]
+    ) -> Tuple[
+        Dict[int, List[_Group]], Dict[int, int], List[Tuple[int, QueryRequest]]
+    ]:
+        """Group the batch by ``(entry, kind)`` and route each group once.
+
+        Returns the groups per shard index, the query points per shard
+        index (for the fan-out rule), and the group-by requests, which
+        are served across shards instead.
+        """
+        keyed: Dict[Tuple[str, str], List[int]] = {}
+        group_items: List[Tuple[int, QueryRequest]] = []
+        for index, request in enumerate(requests):
+            kind = request.kind
+            if kind in _GROUP_KINDS:
+                group_items.append((index, request))
+                continue
+            key = (request.name, kind)
+            indices = keyed.get(key)
+            if indices is None:
+                keyed[key] = [index]
+            else:
+                indices.append(index)
+        shard_of = self.router.shard_map.shard_of
+        by_shard: Dict[int, List[_Group]] = {}
+        points: Dict[int, int] = {}
+        for (name, kind), indices in keyed.items():
+            group = _Group(name, kind, indices, [requests[i].args for i in indices])
+            shard = shard_of(name)
+            by_shard.setdefault(shard, []).append(group)
+            points[shard] = points.get(shard, 0) + group.points
+        return by_shard, points, group_items
+
     def serve(self, requests: Sequence[QueryRequest]) -> List[QueryResult]:
         """Synchronous convenience wrapper around :meth:`query_batch`.
 
         Runs its own event loop, so it must not be called from a
-        coroutine — use ``await query_batch(...)`` there.
+        coroutine — use ``await query_batch(...)`` there.  The loop is a
+        bare one, not ``asyncio.run``'s: on the main thread that swaps
+        the SIGINT handler, and CPython formats the finished task, its
+        first answers included, each time it reads the handler back
+        (about 18 ms per batch whose first answers are 256-point arrays).
         """
-        return asyncio.run(self.query_batch(requests))
+        loop = asyncio.new_event_loop()
+        try:
+            return loop.run_until_complete(self.query_batch(requests))
+        finally:
+            loop.close()
 
     # ------------------------------------------------------------------ #
     # Writes (serialized by the per-shard write lock)
@@ -472,7 +556,8 @@ class AsyncServingFrontend:
     def _serve_shard(
         self,
         shard: Shard,
-        items: List[Tuple[int, QueryRequest]],
+        requests: Sequence[QueryRequest],
+        groups: List[_Group],
         trace: Optional[TraceContext] = None,
     ) -> List[QueryResult]:
         # Runs on a pool worker: thread pools do not inherit the event
@@ -481,68 +566,64 @@ class AsyncServingFrontend:
         # recorded downstream) to land on the right request.
         if trace is not None:
             with trace.bound():
-                return self._serve_shard_inner(shard, items)
-        return self._serve_shard_inner(shard, items)
+                return self._serve_shard_inner(shard, requests, groups)
+        return self._serve_shard_inner(shard, requests, groups)
 
     def _serve_shard_inner(
-        self, shard: Shard, items: List[Tuple[int, QueryRequest]]
+        self,
+        shard: Shard,
+        requests: Sequence[QueryRequest],
+        groups: List[_Group],
     ) -> List[QueryResult]:
         started = time.perf_counter()
         histogram, counter = self._per_shard[shard.index]
-        counter.inc(len(items))
+        routed = sum(len(group.indices) for group in groups)
+        counter.inc(routed)
         try:
             with span("coalesce", shard=shard.index):
-                groups: Dict[Tuple[str, str], List[Tuple[int, QueryRequest]]] = {}
-                singles: List[Tuple[int, QueryRequest]] = []
-                for index, request in items:
-                    # Only scalar/1-D arguments coalesce: stacking happens
-                    # along axis 0, so higher-dimensional query arrays
-                    # (which the engine accepts) would split back
-                    # incorrectly — serve those one by one instead.
-                    if request.kind in _COALESCIBLE and all(
-                        np.ndim(arg) <= 1 for arg in request.args
-                    ):
-                        groups.setdefault(
-                            (request.name, request.kind), []
-                        ).append((index, request))
-                    else:
-                        singles.append((index, request))
-            merged = sum(len(group) for group in groups.values() if len(group) > 1)
-            if merged:
-                self._c_coalesced.inc(merged)
-            # Per-entry request volume, for the hotness tracker.  The
-            # engine's per-entry cache series counts *table accesses* —
-            # one per coalesced group — so under coalescing it
-            # undercounts load by the batch size; this series counts
-            # requests.  Looked up (not cached) so removal via
-            # ``registry.drop(entry=...)`` stays effective across
-            # re-registration.
-            request_counts: Dict[str, int] = {}
-            for (group_name, _kind), group in groups.items():
-                request_counts[group_name] = request_counts.get(
-                    group_name, 0
-                ) + len(group)
-            for _index, request in singles:
-                request_counts[request.name] = (
-                    request_counts.get(request.name, 0) + 1
-                )
-            for entry_name, count in request_counts.items():
-                self.registry.counter(
-                    "frontend_entry_requests_total",
-                    "requests addressed to the entry",
-                    entry=entry_name,
-                ).inc(count)
-            with span("evaluate", shard=shard.index, requests=len(items)):
-                results: List[QueryResult] = []
-                for (name, kind), group in groups.items():
-                    if len(group) == 1:
-                        results.append(self._serve_one(shard, *group[0]))
-                    else:
-                        results.extend(
-                            self._serve_coalesced(shard, name, kind, group)
+                # (name, kind, indices, columns, layout) per engine call
+                calls: List[tuple] = []
+                singles: List[int] = []
+                for group in groups:
+                    if group.kind not in _COALESCIBLE or len(group.indices) == 1:
+                        singles.extend(group.indices)
+                    elif group.scalar:
+                        columns = [np.array(column) for column in zip(*group.args)]
+                        calls.append(
+                            (group.name, group.kind, group.indices, columns, None)
                         )
-                for index, request in singles:
-                    results.append(self._serve_one(shard, index, request))
+                    else:
+                        call, alone = _stack(group)
+                        if call is not None:
+                            calls.append(call)
+                        singles.extend(alone)
+                merged = sum(len(call[2]) for call in calls)
+                if merged:
+                    self._c_coalesced.inc(merged)
+                # Per-entry request volume, for the hotness tracker.  The
+                # engine's per-entry cache series counts *table accesses*
+                # — one per coalesced group — so under coalescing it
+                # undercounts load by the batch size; this series counts
+                # requests.  Looked up (not cached) so removal via
+                # ``registry.drop(entry=...)`` stays effective across
+                # re-registration.
+                request_counts: Dict[str, int] = {}
+                for group in groups:
+                    request_counts[group.name] = request_counts.get(
+                        group.name, 0
+                    ) + len(group.indices)
+                for entry_name, requested in request_counts.items():
+                    self.registry.counter(
+                        "frontend_entry_requests_total",
+                        "requests addressed to the entry",
+                        entry=entry_name,
+                    ).inc(requested)
+            with span("evaluate", shard=shard.index, requests=routed):
+                results: List[QueryResult] = []
+                for call in calls:
+                    results.extend(self._serve_coalesced(shard, requests, *call))
+                for index in singles:
+                    results.append(self._serve_one(shard, index, requests[index]))
             return results
         finally:
             histogram.observe(time.perf_counter() - started)
@@ -605,17 +686,23 @@ class AsyncServingFrontend:
     def _serve_coalesced(
         self,
         shard: Shard,
+        requests: Sequence[QueryRequest],
         name: str,
         kind: str,
-        group: List[Tuple[int, QueryRequest]],
+        indices: List[int],
+        columns: List[np.ndarray],
+        layout: Any,
         _hops: int = 0,
     ) -> List[QueryResult]:
-        """One vectorized call for same-(name, kind) requests, split back.
+        """One kernel call for same-(name, kind) requests, unpacked per request.
 
-        All answers in the group share one table snapshot, hence one
-        version.  If the stacked call fails (one request holds an invalid
-        position), every request is retried individually so only the
-        offender reports an error.
+        ``columns`` holds one stacked array per argument position.  With
+        ``layout`` None every request is a scalar and the answer unpacks
+        with one ``tolist()``; otherwise it is ``(lengths, scalars)`` from
+        :func:`_stack`.  All answers in the group share one table
+        snapshot, hence one version.  If the call fails (one request
+        holds an invalid position), every request is re-served
+        individually so only the offender reports an error.
         """
         try:
             version, table = shard.engine.table_versioned(name)
@@ -623,55 +710,117 @@ class AsyncServingFrontend:
             retry = self._migration_target(shard, name, exc)
             if retry is not None and _hops < 4:
                 self._c_migrated_retries.inc()
-                return self._serve_coalesced(retry, name, kind, group, _hops + 1)
-            return [
-                QueryResult(index=i, name=name, kind=kind, error=str(exc))
-                for i, _ in group
-            ]
-        # Broadcast each request's own arguments against each other BEFORE
-        # concatenating across requests: a request like (scalar a, array b)
-        # must occupy the same positions in every stacked argument, or
-        # neighbors' a/b pairs would silently cross.
-        per_request = []
-        for _, req in group:
-            try:
-                broadcast = np.broadcast_arrays(
-                    *[np.atleast_1d(np.asarray(arg)) for arg in req.args]
+                return self._serve_coalesced(
+                    retry, requests, name, kind, indices, columns, layout,
+                    _hops + 1,
                 )
-            except _REQUEST_ERRORS:
-                return [self._serve_one(shard, i, r) for i, r in group]
-            per_request.append(broadcast)
-        lengths = [broadcast[0].size for broadcast in per_request]
-        scalar = [
-            all(np.ndim(arg) == 0 for arg in req.args) for _, req in group
-        ]
-        stacked_args = tuple(
-            np.concatenate([broadcast[position] for broadcast in per_request])
-            for position in range(QUERY_KINDS[kind])
-        )
+            error = str(exc)
+            return [
+                QueryResult(index=i, name=name, kind=kind, error=error)
+                for i in indices
+            ]
         start = time.perf_counter()
         try:
-            stacked = _evaluate(table, kind, stacked_args)
+            stacked = _evaluate(table, kind, columns)
         except _REQUEST_ERRORS:
-            return [self._serve_one(shard, i, req) for i, req in group]
+            return [self._serve_one(shard, i, requests[i]) for i in indices]
         finally:
             # One stacked evaluation = one engine-side observation; the
             # coalescing win shows up as fewer, slightly fatter samples.
             shard.engine.observe_query(kind, time.perf_counter() - start)
-        results = []
-        offsets = np.cumsum([0] + lengths)
-        for g, (index, _) in enumerate(group):
-            # Copy the slice out of the stacked group answer: a view would
-            # pin the whole group's array alive for as long as any one
-            # result is retained.
-            value = stacked[offsets[g] : offsets[g + 1]]
-            if scalar[g]:
-                value = value[0].item()
-            elif len(group) > 1:
-                value = value.copy()
-            results.append(
-                QueryResult(
-                    index=index, name=name, kind=kind, value=value, version=version
-                )
-            )
-        return results
+        values = stacked.tolist() if layout is None else _unstack(stacked, *layout)
+        return [
+            QueryResult(index=i, name=name, kind=kind, value=value, version=version)
+            for i, value in zip(indices, values)
+        ]
+
+
+class _Group:
+    """The requests of one batch addressed to one ``(entry, kind)``."""
+
+    __slots__ = ("name", "kind", "indices", "args", "scalar", "points")
+
+    def __init__(
+        self, name: str, kind: str, indices: List[int], args: List[Tuple[Any, ...]]
+    ) -> None:
+        self.name = name
+        self.kind = kind
+        self.indices = indices
+        self.args = args
+        # Scalar groups pack one column per argument position without a
+        # NumPy call per request.
+        self.scalar = kind in _COALESCIBLE and all(
+            isinstance(arg, _SCALAR_TYPES) for request in args for arg in request
+        )
+        if self.scalar or kind not in _COALESCIBLE:
+            self.points = len(indices)
+        else:
+            self.points = sum(_broadcast_size(request) for request in args)
+
+
+def _broadcast_size(args: Tuple[Any, ...]) -> int:
+    """A request's query points: its broadcast length (1 if it does not
+    broadcast; the request then fails on its own)."""
+    try:
+        return np.broadcast(*args).size
+    except ValueError:
+        return 1
+
+
+def _stack(group: _Group) -> Tuple[Optional[tuple], List[int]]:
+    """Stack a group that holds array requests into one call.
+
+    Returns the call ``(name, kind, indices, columns, (lengths,
+    scalars))``, or None, and the requests to serve alone.  Stacking runs
+    along axis 0, so N-d query arrays (which the engine accepts) would
+    split back wrongly: those are served alone.  Each request's own
+    arguments are broadcast against each other *before* stacking: a
+    request like (scalar a, array b) must occupy the same positions in
+    every stacked argument, or neighbours' a/b pairs would silently
+    cross.  If any request does not broadcast, the whole group is served
+    one by one.
+    """
+    indices: List[int] = []
+    stackable: List[Tuple[Any, ...]] = []
+    alone: List[int] = []
+    for index, args in zip(group.indices, group.args):
+        try:
+            flat = all(np.ndim(arg) <= 1 for arg in args)
+        except ValueError:  # a ragged nested list fails on its own
+            flat = False
+        if flat:
+            indices.append(index)
+            stackable.append(args)
+        else:
+            alone.append(index)
+    if len(indices) < 2:
+        return None, alone + indices
+    try:
+        broadcasts = [
+            np.broadcast_arrays(*[np.atleast_1d(np.asarray(arg)) for arg in args])
+            for args in stackable
+        ]
+    except _REQUEST_ERRORS:
+        return None, alone + indices
+    columns = [
+        np.concatenate([broadcast[position] for broadcast in broadcasts])
+        for position in range(len(broadcasts[0]))
+    ]
+    lengths = [broadcast[0].size for broadcast in broadcasts]
+    scalars = [all(np.ndim(arg) == 0 for arg in args) for args in stackable]
+    return (group.name, group.kind, indices, columns, (lengths, scalars)), alone
+
+
+def _unstack(
+    stacked: np.ndarray, lengths: List[int], scalars: List[bool]
+) -> List[Any]:
+    """Split a stacked answer back per request.  Each slice is copied out:
+    a view would pin the whole group's array alive for as long as any one
+    result is retained."""
+    values: List[Any] = []
+    offset = 0
+    for length, scalar in zip(lengths, scalars):
+        piece = stacked[offset : offset + length]
+        values.append(piece[0].item() if scalar else piece.copy())
+        offset += length
+    return values

@@ -3,7 +3,9 @@
 Covers the shard map (stable hashing, persisted assignments beating the
 hash, sticky placement across remove), router/engine parity with the
 unsharded pair, the async front end (request-order reassembly,
-coalescing, per-request error isolation, snapshot versions), sharded
+coalescing, per-request error isolation, snapshot versions, and a
+Hypothesis property that every batch answers like its requests served
+one at a time), sharded
 persistence (parent manifest round trip bitwise-identical to the
 unsharded store, golden fixture, corruption), resharding as migration,
 and the concurrent refresh-while-query stress test (``-m slow``).
@@ -17,6 +19,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     AsyncServingFrontend,
@@ -27,6 +31,7 @@ from repro import (
     StoreCorruptionError,
     StreamingHistogramLearner,
     SynopsisStore,
+    WindowedStreamLearner,
     load_sharded,
     save_sharded,
 )
@@ -420,6 +425,23 @@ class TestFrontend:
         assert results[0].ok and results[2].ok
         assert not results[1].ok
 
+    def test_ragged_argument_fails_alone(self, frontend, pair):
+        # A ragged nested list has no ndim: it must fail as its own
+        # request instead of failing the whole batch.
+        engine, _ = pair
+        requests = [
+            QueryRequest("range_sum", NAMES[0], (np.asarray([0, 1]), 5)),
+            QueryRequest("range_sum", NAMES[0], ([1, [2, 3]], 5)),
+            QueryRequest("range_sum", NAMES[0], (4, 9)),
+        ]
+        results = frontend.serve(requests)
+        assert results[0].ok and results[2].ok
+        assert not results[1].ok
+        np.testing.assert_array_equal(
+            results[0].value, engine.range_sum(NAMES[0], np.asarray([0, 1]), 5)
+        )
+        assert results[2].value == engine.range_sum(NAMES[0], 4, 9)
+
     def test_invalid_request_construction(self):
         with pytest.raises(ValueError, match="unknown query kind"):
             QueryRequest("median", "a", (0.5,))
@@ -461,6 +483,148 @@ class TestFrontend:
             before, after = asyncio.run(scenario(fe))
         assert before.version == 0
         assert after.version == router["live"].version >= 2
+
+
+# --------------------------------------------------------------------- #
+# Columnar batches: parity with one request at a time
+# --------------------------------------------------------------------- #
+
+PARITY_N = 48
+PARITY_NAMES = ["p0", "p1", "p2", "w"]  # "w" is a windowed stream
+PARITY_KINDS = (
+    "range_sum", "range_mean", "point_mass", "cdf", "quantile",
+    "top_k", "inner_product", "heavy_hitters",
+)
+
+
+@pytest.fixture(scope="module")
+def parity_frontends():
+    """The same entries over 1, 2 and 3 shards, each behind a front end."""
+    frontends = {}
+    for shards in (1, 2, 3):
+        router = ShardRouter(num_shards=shards)
+        populate(router, PARITY_NAMES[:-1], n=PARITY_N)
+        learner = WindowedStreamLearner(PARITY_N, 4, 400, sketch_eps=0.05)
+        learner.extend(np.random.default_rng(5).integers(0, PARITY_N, 400) % 6)
+        router.register_stream("w", learner)
+        frontends[shards] = AsyncServingFrontend(router)
+    yield frontends
+    for frontend in frontends.values():
+        frontend.close()
+
+
+#: Argument forms of scalar requests, and of any request.
+SCALAR_FORMS = ["python", "numpy"]
+ANY_FORMS = ["python", "numpy", "numpy", "0-d", "1-d", "1-d", "list", "2-d"]
+
+
+@st.composite
+def _argument(draw, values, length, forms):
+    """One query argument, as a Python or NumPy scalar, a 0-d array, a
+    1-D list or array (usually ``length`` long), or a 2-D array."""
+    form = draw(st.sampled_from(forms))
+    if form == "python":
+        return draw(values)
+    if form in ("numpy", "0-d"):
+        value = draw(values)
+        cast = (np.float64, np.float32) if isinstance(value, float) else (
+            np.int64, np.int32
+        )
+        value = draw(st.sampled_from(cast))(value)
+        return np.asarray(value) if form == "0-d" else value
+    length = draw(st.sampled_from([length, length, length, 1, 2]))
+    if form == "2-d":
+        items = draw(st.lists(values, min_size=2 * length, max_size=2 * length))
+        return np.asarray(items).reshape(2, length)
+    items = draw(st.lists(values, min_size=length, max_size=length))
+    return items if form == "list" else np.asarray(items)
+
+
+@st.composite
+def _parity_request(draw, names, forms):
+    kind = draw(st.sampled_from(PARITY_KINDS[:5] * 3 + PARITY_KINDS[5:]))
+    name = draw(names)
+    length = draw(st.integers(0, 3))
+    # One step past the domain on either side, so some requests fail.
+    position = st.integers(-1, PARITY_N)
+    if kind in ("range_sum", "range_mean"):
+        half = PARITY_N // 2
+        args = (
+            draw(_argument(st.integers(-1, half), length, forms)),
+            draw(_argument(st.integers(half - 1, PARITY_N), length, forms)),
+        )
+    elif kind in ("point_mass", "cdf"):
+        args = (draw(_argument(position, length, forms)),)
+    elif kind == "quantile":
+        levels = st.floats(-0.05, 1.05, allow_nan=False)
+        args = (draw(_argument(levels, length, forms)),)
+    elif kind == "top_k":
+        args = (draw(st.integers(0, 4)),)
+    elif kind == "inner_product":
+        args = (draw(names),)
+    else:
+        args = (draw(st.sampled_from([0.01, 0.1, 0.3])),)
+    return QueryRequest(kind, name, args)
+
+
+def _one_at_a_time(router, request):
+    """``(value, version, error)`` of ``request`` answered on its own from
+    the entry's table, with the same ``PrefixTable`` method.  The table
+    comes from the entry's shard, as in ``router.table_versioned``; the
+    shard's store words the error for an unknown name."""
+    kind, name, args = request.kind, request.name, request.args
+    shard = router.shard_of(name)
+    try:
+        if kind == "heavy_hitters":
+            value = shard.engine.heavy_hitters(name, float(args[0]))
+            return value, shard.store[name].version, None
+        version, table = shard.engine.table_versioned(name)
+        if kind == "inner_product":
+            value = table.inner_product(router.table_versioned(str(args[0]))[1])
+        elif kind == "top_k":
+            value = table.top_k_buckets(int(args[0]))
+        else:
+            value = getattr(table, kind)(*args)
+    except (KeyError, ValueError, IndexError, TypeError) as exc:
+        return None, -1, str(exc)
+    return value, version, None
+
+
+class TestColumnarParity:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_batches_answer_like_one_request_at_a_time(
+        self, parity_frontends, data
+    ):
+        """Random batches over 1-3 shards that mix every non-group kind,
+        Python and NumPy scalars, 0-d, 1-D, mixed-shape and 2-D
+        arguments, out-of-range arguments and unknown names: every
+        result equals its request answered alone, in value, value type,
+        dtype, version and error message."""
+        frontend = parity_frontends[data.draw(st.integers(1, 3))]
+        focus = data.draw(st.lists(
+            st.sampled_from(PARITY_NAMES + ["nope"]),
+            min_size=1, max_size=3, unique=True,
+        ))
+        # Half the batches are all scalar, so scalar groups form often.
+        forms = data.draw(st.sampled_from([SCALAR_FORMS, ANY_FORMS]))
+        requests = data.draw(st.lists(
+            _parity_request(st.sampled_from(focus), forms),
+            min_size=1, max_size=40,
+        ))
+        results = frontend.serve(requests)
+        assert [r.index for r in results] == list(range(len(requests)))
+        for request, result in zip(requests, results):
+            value, version, error = _one_at_a_time(frontend.router, request)
+            assert (result.name, result.kind) == (request.name, request.kind)
+            assert result.error == error, request
+            if error is not None:
+                continue
+            assert result.version == version, request
+            assert type(result.value) is type(value), request
+            if isinstance(value, np.ndarray):
+                assert result.value.dtype == value.dtype, request
+            assert np.array_equal(result.value, value), request
 
 
 # --------------------------------------------------------------------- #
