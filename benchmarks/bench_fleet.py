@@ -1,6 +1,6 @@
-"""Benchmark: EXT-fleet — bulk cohort registration and budgeted residency.
+"""Benchmark: EXT-fleet — bulk registration, residency and group queries.
 
-Fleet-scale serving stands on two claims, and this file measures both:
+Fleet-scale serving stands on three claims, and this file measures each:
 
 * **bulk registration amortizes planning.**  ``register_many`` probes a
   budget-compliant plan on one representative of the cohort and rides it
@@ -16,13 +16,22 @@ Fleet-scale serving stands on two claims, and this file measures both:
   must sit at or below the budget, no query may fail, and cold entries
   must actually have been evicted (the budget is a fraction of the
   hydrated total, so enforcement has to do real work).
+* **a cohort's group query is one stacked evaluation.**  A 250-member
+  cohort (n = 48, 2 shards, so larger than the engines' 32-table
+  caches) answers warm ``group_range_sum`` over 8 ranges and
+  ``group_top_k(4)`` through the router's cached cohort table; the
+  baseline is the member-order reference loop over the members' own
+  ``PrefixTable`` objects, whose answers must be equal byte for byte.
 
 ``test_register_many_amortizes_planning`` is the regression gate: on a
 cohort of >= 10k series, ``register_many`` must beat the per-entry loop
 by >= 3x (smaller smoke cohorts skip the ratio assert but still check
 plan reuse happened).  ``test_residency_budget_respected`` gates the
-second claim.  Every run refreshes ``BENCH_fleet.json`` at the repo
-root.
+second claim, and ``test_group_queries_beat_member_loop`` the third:
+each kind >= 5x the reference loop.  The group cohort's size does not
+follow ``REPRO_BENCH_FLEET``, so that gate runs in smoke mode too.
+Every run refreshes ``BENCH_fleet.json`` at the repo root, with each
+gate marked as run or skipped and as passed or failed.
 """
 
 from __future__ import annotations
@@ -36,8 +45,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import BuildBudget, QueryEngine, ResidencyManager, SynopsisStore
+from repro import (
+    BuildBudget,
+    QueryEngine,
+    ResidencyManager,
+    ShardRouter,
+    SynopsisStore,
+)
 from repro.obs import get_default_registry
+from repro.serve import CohortTable
 from repro.serve.persistence import load_store, save_store
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -52,6 +68,14 @@ RES_ENTRIES = 64
 RES_UNIVERSE = 2048
 RES_QUERIES = 400
 RES_BUDGET_ENTRIES = 10  # budget ~= this many resident entries
+
+# The group leg's cohort is fixed in every mode (not REPRO_BENCH_FLEET).
+GROUP_MEMBERS = 250
+GROUP_SHARDS = 2
+GROUP_RANGES = 8
+GROUP_TOP_M = 4
+GROUP_REPEATS = 25
+GROUP_GATE = 5.0
 
 
 def _fleet(count: int) -> list:
@@ -149,24 +173,144 @@ def _measure_residency() -> dict:
     }
 
 
+def _member_order_sum(tables: list, a, b):
+    """The reference group range sum: each member's own range sum, added
+    in member order."""
+    total = tables[0].range_sum(a, b)
+    for table in tables[1:]:
+        total = total + table.range_sum(a, b)
+    return total
+
+
+def _member_order_top_k(tables: list, m: int) -> list:
+    """The reference group top-k over the members' merged partition."""
+    lefts = np.unique(np.concatenate([table.prefix.lefts for table in tables]))
+    rights = np.append(lefts[1:] - 1, tables[0].n - 1)
+    masses = _member_order_sum(tables, lefts, rights)
+    order = np.argsort(-masses, kind="stable")[:m]
+    return [(int(lefts[u]), int(rights[u]), float(masses[u])) for u in order]
+
+
+def _median_ms(call, repeats: int = GROUP_REPEATS) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return float(np.median(times)) * 1e3
+
+
+def _measure_group() -> dict:
+    rng = np.random.default_rng(13)
+    base = np.abs(rng.normal(2.0, 0.4, UNIVERSE)) + 0.01
+    pairs = [
+        (
+            f"g{j:03d}",
+            base * rng.uniform(0.8, 1.25) * rng.lognormal(0.0, 0.05, UNIVERSE),
+        )
+        for j in range(GROUP_MEMBERS)
+    ]
+    router = ShardRouter(num_shards=GROUP_SHARDS)
+    router.register_many(pairs, BuildBudget(max_bytes=400), cohort="cohort")
+    names = list(router.cohort_members("cohort"))
+    tables = [router.table_versioned(name)[1] for name in names]
+    x = rng.integers(0, UNIVERSE, GROUP_RANGES)
+    y = rng.integers(0, UNIVERSE, GROUP_RANGES)
+    a, b = np.minimum(x, y), np.maximum(x, y)
+
+    # The first query stacks the cohort table; every timed call is warm.
+    start = time.perf_counter()
+    value, _ = router.group_range_sum("cohort", a, b)
+    build_ms = (time.perf_counter() - start) * 1e3
+    top, _ = router.group_top_k("cohort", GROUP_TOP_M)
+    equal = (
+        value.tobytes() == _member_order_sum(tables, a, b).tobytes()
+        and top == _member_order_top_k(tables, GROUP_TOP_M)
+    )
+    legs = {}
+    for kind, grouped, reference in (
+        (
+            "group_range_sum",
+            lambda: router.group_range_sum("cohort", a, b),
+            lambda: _member_order_sum(tables, a, b),
+        ),
+        (
+            "group_top_k",
+            lambda: router.group_top_k("cohort", GROUP_TOP_M),
+            lambda: _member_order_top_k(tables, GROUP_TOP_M),
+        ),
+    ):
+        loop_ms = _median_ms(reference)
+        router_ms = _median_ms(grouped)
+        legs[kind] = {
+            "loop_ms": loop_ms,
+            "router_ms": router_ms,
+            "speedup_x": loop_ms / router_ms,
+        }
+    return {
+        "members": GROUP_MEMBERS,
+        "universe": UNIVERSE,
+        "shards": GROUP_SHARDS,
+        "ranges": GROUP_RANGES,
+        "top_m": GROUP_TOP_M,
+        "answers_equal": equal,
+        "first_query_ms": build_ms,
+        "table_bytes_per_member": CohortTable(tables).nbytes / GROUP_MEMBERS,
+        "legs": legs,
+    }
+
+
+def _gates(register: dict, residency: dict, group: dict) -> list:
+    """Every gate of the file, marked as run or skipped, passed or failed."""
+    full = register["fleet_size"] >= GATE_FLOOR
+    gates = [
+        {
+            "gate": (
+                f"register_many >= {REGISTER_GATE}x faster than per-entry "
+                f"loop at >= {GATE_FLOOR} series"
+            ),
+            "ran": full,
+            "passed": full and register["speedup_x"] >= REGISTER_GATE,
+        },
+        {
+            "gate": "resident bytes <= budget with zero failed answers",
+            "ran": True,
+            "passed": residency["failed_answers"] == 0
+            and residency["peak_resident_bytes"] <= residency["max_resident_bytes"],
+        },
+    ]
+    for kind, leg in group["legs"].items():
+        gates.append(
+            {
+                "gate": (
+                    f"warm {kind} on a {GROUP_MEMBERS}-member cohort >= "
+                    f"{GROUP_GATE}x the member-order loop, equal answers"
+                ),
+                "ran": True,
+                "passed": group["answers_equal"] and leg["speedup_x"] >= GROUP_GATE,
+            }
+        )
+    return gates
+
+
 def run_comparison(verbose: bool = True) -> dict:
     register = _measure_register(FLEET_SIZE)
     residency = _measure_residency()
+    group = _measure_group()
     payload = {
         "benchmark": "bench_fleet",
         "workload": (
             f"{FLEET_SIZE} similar series (n={UNIVERSE}) bulk-registered; "
             f"{RES_ENTRIES} exact entries (n={RES_UNIVERSE}) under a "
-            f"{RES_BUDGET_ENTRIES}-entry residency budget"
+            f"{RES_BUDGET_ENTRIES}-entry residency budget; warm group "
+            f"queries over a {GROUP_MEMBERS}-member cohort on "
+            f"{GROUP_SHARDS} shards"
         ),
         "cpus": os.cpu_count(),
-        "gate": (
-            f"register_many >= {REGISTER_GATE}x faster than per-entry loop "
-            f"at >= {GATE_FLOOR} series; resident bytes <= budget with "
-            f"zero failed answers"
-        ),
+        "gates": _gates(register, residency, group),
         "register": register,
         "residency": residency,
+        "group": group,
     }
     RESULTS_PATH.write_text(json.dumps(payload, indent=1) + "\n")
     if verbose:
@@ -186,6 +330,12 @@ def run_comparison(verbose: bool = True) -> dict:
             f"{residency['failed_answers']} failures, "
             f"{residency['queries_per_s']:.0f} q/s"
         )
+        for kind, leg in group["legs"].items():
+            print(
+                f"{kind}, {group['members']} members: loop "
+                f"{leg['loop_ms']:.2f} ms  router {leg['router_ms']:.3f} ms "
+                f"({leg['speedup_x']:.1f}x, equal={group['answers_equal']})"
+            )
     return payload
 
 
@@ -222,10 +372,24 @@ def test_residency_budget_respected(comparison):
     assert residency["cold_entries"] > 0
 
 
+def test_group_queries_beat_member_loop(comparison):
+    """Acceptance gate: warm group queries through the router's cached
+    cohort table answer exactly what the member-order loop over the
+    members' tables answers, each kind >= 5x faster."""
+    group = comparison["group"]
+    assert group["answers_equal"]
+    for kind, leg in group["legs"].items():
+        assert leg["speedup_x"] >= GROUP_GATE, (
+            f"{kind} only {leg['speedup_x']:.1f}x the member-order loop"
+        )
+
+
 def test_results_file_written(comparison):
     payload = json.loads(RESULTS_PATH.read_text())
     assert payload["benchmark"] == "bench_fleet"
     assert payload["register"]["fleet_size"] == FLEET_SIZE
+    assert set(payload["group"]["legs"]) == {"group_range_sum", "group_top_k"}
+    assert all(gate["ran"] for gate in payload["gates"][1:])
 
 
 if __name__ == "__main__":

@@ -77,7 +77,7 @@ def greedy_histogram_for_budget(
     if method == "scan":
         return _greedy_scan(sparse, budget_sq, max_pieces)
     if method == "search":
-        ps = prefix if prefix is not None else PrefixSums(sparse)
+        ps = prefix if prefix is not None else sparse.prefix_sums()
         return _greedy_search(sparse, ps, budget_sq, max_pieces)
     raise ValueError(f"unknown method {method!r}")
 
@@ -161,7 +161,7 @@ def dual_histogram(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     sparse = _as_sparse(q)
-    prefix = PrefixSums(sparse)
+    prefix = sparse.prefix_sums()
 
     total_err = prefix.interval_err(0, sparse.n - 1)
     if total_err == 0.0:

@@ -86,7 +86,7 @@ def construct_fast_histogram_partition(
     if gamma < 1.0:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
     sparse = q if isinstance(q, SparseFunction) else SparseFunction.from_dense(q)
-    ps = PrefixSums(sparse)
+    ps = sparse.prefix_sums()
 
     part = initial_partition(sparse)
     rights, rounds = _group_rounds(

@@ -91,7 +91,7 @@ def construct_hierarchical_histogram(
     if min_intervals < 2:
         raise ValueError(f"min_intervals must be >= 2, got {min_intervals}")
     sparse = q if isinstance(q, SparseFunction) else SparseFunction.from_dense(q)
-    ps = PrefixSums(sparse)
+    ps = sparse.prefix_sums()
 
     levels = [initial_partition(sparse)]
     rights = levels[0].rights

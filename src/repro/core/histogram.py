@@ -144,10 +144,11 @@ class Histogram:
     # ------------------------------------------------------------------ #
 
     def l2_sq_to_sparse(self, q: SparseFunction) -> float:
-        """Exact ``||h - q||_2^2`` against a sparse function, in O(k + log s) work."""
+        """Exact ``||h - q||_2^2`` against a sparse function, in O(k log s) work
+        once ``q``'s cached prefix sums exist."""
         if q.n != self.n:
             raise ValueError("universe sizes differ")
-        ps = PrefixSums(q)
+        ps = q.prefix_sums()
         lefts = self.partition.lefts
         out = ps.l2_sq_to_constant(lefts, self.partition.rights, self.values)
         return float(np.sum(out))
@@ -251,6 +252,6 @@ def flatten(q: SparseFunction, partition: Partition, prefix: PrefixSums = None) 
     """
     if q.n != partition.n:
         raise ValueError("universe sizes differ")
-    ps = prefix if prefix is not None else PrefixSums(q)
+    ps = prefix if prefix is not None else q.prefix_sums()
     means = ps.interval_mean(partition.lefts, partition.rights)
     return Histogram(partition, np.atleast_1d(means))

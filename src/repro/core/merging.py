@@ -154,7 +154,7 @@ def construct_histogram_partition(
     if gamma < 1.0:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
     sparse = _as_sparse(q)
-    ps = prefix if prefix is not None else PrefixSums(sparse)
+    ps = prefix if prefix is not None else sparse.prefix_sums()
 
     part = initial_partition(sparse)
     rights, rounds = _pair_rounds(

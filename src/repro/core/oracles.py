@@ -18,7 +18,6 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .fitpoly import PolynomialFit, fit_polynomial
-from .prefix import PrefixSums
 from .sparse import SparseFunction
 
 __all__ = ["ProjectionOracle", "ConstantOracle", "PolynomialOracle", "LinearOracle"]
@@ -50,7 +49,7 @@ class ConstantOracle(ProjectionOracle):
 
     def __init__(self, q: SparseFunction) -> None:
         super().__init__(q)
-        self.prefix = PrefixSums(q)
+        self.prefix = q.prefix_sums()
 
     def error_sq(self, a: int, b: int) -> float:
         return self.prefix.interval_err(a, b)
@@ -104,7 +103,7 @@ class LinearOracle(ProjectionOracle):
 
     def __init__(self, q: SparseFunction) -> None:
         super().__init__(q)
-        self.prefix = PrefixSums(q)
+        self.prefix = q.prefix_sums()
         # Prefix sums of the first-moment signal i * q(i).
         self._cum_xq = np.concatenate(
             ([0.0], np.cumsum(q.indices.astype(np.float64) * q.values))

@@ -25,13 +25,18 @@ class PrefixSums:
 
     All interval arguments are closed intervals ``[a, b]`` with
     ``0 <= a <= b < n``; batch methods accept equal-length arrays of
-    endpoints and return arrays.
+    endpoints and return arrays.  :meth:`SparseFunction.prefix_sums`
+    memoizes one per function, so a build and its error measurement sum
+    the input once.
     """
 
-    __slots__ = ("q", "_cum", "_cum_sq")
+    __slots__ = ("indices", "_cum", "_cum_sq")
 
     def __init__(self, q: SparseFunction) -> None:
-        self.q = q
+        # Only the positions are kept, not ``q``: ``q`` memoizes this
+        # object (:meth:`SparseFunction.prefix_sums`), and a reference back
+        # would leave every memoized pair to the cycle collector.
+        self.indices = q.indices
         # _cum[j] = sum of the first j nonzero values, so that a range of
         # nonzero ranks [lo, hi) sums to _cum[hi] - _cum[lo].
         self._cum = np.concatenate(([0.0], np.cumsum(q.values)))
@@ -43,8 +48,8 @@ class PrefixSums:
 
     def _rank_range(self, a: ArrayLike, b: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
         """Ranks [lo, hi) of nonzeros with positions inside ``[a, b]``."""
-        lo = np.searchsorted(self.q.indices, a, side="left")
-        hi = np.searchsorted(self.q.indices, b, side="right")
+        lo = np.searchsorted(self.indices, a, side="left")
+        hi = np.searchsorted(self.indices, b, side="right")
         return lo, hi
 
     # ------------------------------------------------------------------ #

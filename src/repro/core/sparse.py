@@ -10,11 +10,14 @@ serve the "offline" (dense) experiments of Section 5.1 as well.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Tuple, Union
 
 import numpy as np
 
 from .serialize import check_payload_tag
+
+if TYPE_CHECKING:
+    from .prefix import PrefixSums
 
 __all__ = ["SparseFunction"]
 
@@ -144,13 +147,24 @@ class SparseFunction:
         Range sums follow as ``F(b + 1) - F(a)``; each query costs
         ``O(log s)`` against the cached cumulative values.
         """
-        if self._prefix_cache is None:
-            self._prefix_cache = np.concatenate(([0.0], np.cumsum(self.values)))
+        cum = self.prefix_sums()._cum
         xs = np.asarray(x, dtype=np.int64)
         if np.any((xs < 0) | (xs > self.n)):
             raise IndexError(f"prefix positions must lie in [0, {self.n}]")
-        out = self._prefix_cache[np.searchsorted(self.indices, xs, side="left")]
+        out = cum[np.searchsorted(self.indices, xs, side="left")]
         return float(out) if np.ndim(x) == 0 else out
+
+    def prefix_sums(self) -> PrefixSums:
+        """The (cached) :class:`~repro.core.prefix.PrefixSums` of this function.
+
+        Algorithm 1, the flattening and the error measurement of a build
+        all read the same cumulative moments, so one input is summed once.
+        """
+        if self._prefix_cache is None:
+            from .prefix import PrefixSums  # prefix.py imports this module
+
+            self._prefix_cache = PrefixSums(self)
+        return self._prefix_cache
 
     def l2_norm_squared(self) -> float:
         """``sum_i q(i)^2``."""

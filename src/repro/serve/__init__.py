@@ -43,7 +43,8 @@ Fleet-scale cohorts: :meth:`SynopsisStore.register_many` /
 :meth:`ShardRouter.register_many` bulk-register many series under one
 amortized :func:`plan_cohort` plan, optionally naming the batch as a
 *cohort* the group-by query kinds (``group_range_sum`` /
-``group_range_mean`` / ``group_top_k``) answer exactly in one call.
+``group_range_mean`` / ``group_top_k``) answer exactly in one call,
+through one :class:`CohortTable` that stacks the members' tables.
 """
 
 from .builders import (
@@ -64,11 +65,9 @@ from .builders import (
 from .engine import (
     GROUP_QUERY_KINDS,
     CacheStats,
+    CohortTable,
     PrefixTable,
     QueryEngine,
-    group_tables_range_mean,
-    group_tables_range_sum,
-    group_tables_top_k,
 )
 from .frontend import AsyncServingFrontend, QueryRequest, QueryResult
 from .planner import (
@@ -110,6 +109,7 @@ __all__ = [
     "COST_CLASSES",
     "CacheStats",
     "CandidateSpec",
+    "CohortTable",
     "FamilySpec",
     "GROUP_QUERY_KINDS",
     "HotnessTracker",
@@ -136,9 +136,6 @@ __all__ = [
     "detect_store_format",
     "duplicate_entry_message",
     "family_spec",
-    "group_tables_range_mean",
-    "group_tables_range_sum",
-    "group_tables_top_k",
     "learner_from_state",
     "load_sharded",
     "load_store",

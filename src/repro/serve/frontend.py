@@ -84,8 +84,8 @@ _ARG_FORMS: Dict[str, str] = {
     "group_top_k": "(m,)",
 }
 
-# Kinds served by the router's cross-shard group fan-out rather than a
-# single shard's engine.
+# Kinds served by the router's cohort table rather than a single shard's
+# engine.
 _GROUP_KINDS = ("group_range_sum", "group_range_mean", "group_top_k")
 
 # kind -> number of positional query arguments
@@ -519,17 +519,19 @@ class AsyncServingFrontend:
     def _serve_group_one(
         self, index: int, request: QueryRequest
     ) -> QueryResult:
-        """One group-by request through the router's cross-shard fan-out.
+        """One group-by request through the router's cohort table.
 
-        The result's ``version`` is the per-member ``{name: version}``
-        dict, so a caller can attribute every contribution to a
-        consistent member snapshot.  Member request counters tick once
-        per member, mirroring what N individual reads would record.
+        The request's target goes to the router as given, so a named
+        cohort is answered from the router's cached cohort table.  The
+        result's ``version`` is the per-member ``{name: version}`` dict,
+        so a caller can attribute every contribution to a consistent
+        member snapshot.  Member request counters tick once per member,
+        mirroring what N individual reads would record.
         """
         try:
             members = self.router.resolve_members(request.name)
             value, versions = getattr(self.router, request.kind)(
-                members, *request.args
+                request.name, *request.args
             )
         except _REQUEST_ERRORS as exc:
             return QueryResult(

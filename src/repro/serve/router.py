@@ -15,6 +15,9 @@ The lock discipline that makes concurrent serving safe:
 * Queries take no router-level lock at all.  They go through the shard
   engine's ``table_versioned``, which reads a consistent
   ``(version, synopsis)`` snapshot under the store's internal lock.
+  Group queries on a named cohort hold the router's cohort lock only to
+  look up or store the cohort's cached table; they read the members'
+  versions under each shard store's lock.
 * Writes (``register`` / ``extend`` / ``refresh``) hold the target
   shard's ``write_lock``, serializing multi-step read-modify-write
   sequences per shard while leaving the other N-1 shards fully
@@ -41,17 +44,15 @@ from ..core.serialize import check_payload_tag
 from ..core.sparse import SparseFunction
 from ..obs.metrics import MetricsRegistry
 from ..sampling.streaming import StreamingHistogramLearner
-from .engine import (
-    PrefixTable,
-    QueryEngine,
-    group_tables_range_mean,
-    group_tables_range_sum,
-    group_tables_top_k,
-)
+from .engine import CohortTable, PrefixTable, QueryEngine
 from .planner import BuildBudget, BuildPlan, plan_cohort
 from .store import StoreEntry, SynopsisStore, duplicate_entry_message
 
 __all__ = ["Shard", "ShardMap", "ShardRouter", "stable_shard"]
+
+#: A named cohort's cached ``(key, member tables, stacked table)``; the
+#: key is the ordered ``((member, version), ...)`` the tables carry.
+_CohortSlot = Tuple[Tuple[Tuple[str, int], ...], List[PrefixTable], CohortTable]
 
 
 def stable_shard(name: str, num_shards: int) -> int:
@@ -245,6 +246,12 @@ class ShardRouter:
         # Router-level cohorts: members may span shards, so the name
         # registry lives here, not in any single shard store.
         self._cohorts: Dict[str, Tuple[str, ...]] = {}
+        # One stacked table per named cohort, with the ordered
+        # ((member, version), ...) key and the member tables it was built
+        # from.  It lives here, not per shard: the member-order reduction
+        # interleaves members of different shards.  Guarded by
+        # _cohort_lock, like _cohorts.
+        self._cohort_tables: Dict[str, _CohortSlot] = {}
         self._cohort_lock = threading.Lock()
         self.shards: List[Shard] = [
             self._make_shard(
@@ -479,6 +486,7 @@ class ShardRouter:
             for cohort in list(self._cohorts):
                 members = tuple(m for m in self._cohorts[cohort] if m != name)
                 if members != self._cohorts[cohort]:
+                    self._cohort_tables.pop(cohort, None)
                     if members:
                         self._cohorts[cohort] = members
                     else:
@@ -559,6 +567,7 @@ class ShardRouter:
             )
         with self._cohort_lock:
             self._cohorts[str(cohort)] = tuple(names)
+            self._cohort_tables.pop(str(cohort), None)
 
     def cohorts(self) -> Dict[str, Tuple[str, ...]]:
         """All defined cohorts as ``{name: (member, ...)}``."""
@@ -663,30 +672,88 @@ class ShardRouter:
         return table_a.inner_product(table_b)
 
     # ------------------------------------------------------------------ #
-    # Group-by queries (fan out across shards, closed-form fan-in)
+    # Group-by queries (one stacked table per cohort, member-order sums)
     # ------------------------------------------------------------------ #
 
-    def _group_tables(
-        self, names: List[str]
-    ) -> Tuple[List[PrefixTable], Dict[str, int]]:
-        """Per-member ``(table, version)`` pairs, each from its own shard.
+    def _version_key(self, names: List[str]) -> Tuple[Tuple[str, int], ...]:
+        """The members' ordered ``(member, version)`` pairs as their shard
+        stores hold them now, read under each shard's store lock: no
+        hydration, no engine-cache traffic.
 
-        Every member's table comes through its shard engine's
-        ``table_versioned`` (one atomic store snapshot per member, warm
-        in that shard's cache), and the reduction happens on the caller's
-        thread — the same consistency unit as N independent reads, which
-        is exactly what the per-member versions dict reports.
+        Raises the router's ``KeyError`` for the first unknown member.
+        """
+        by_shard: Dict[int, List[int]] = {}
+        for position, name in enumerate(names):
+            by_shard.setdefault(self.shard_map.shard_of(name), []).append(position)
+        versions: List[Optional[int]] = [None] * len(names)
+        for index, positions in by_shard.items():
+            read = self.shards[index].store.versions([names[i] for i in positions])
+            for position, version in zip(positions, read):
+                versions[position] = version
+        for position, name in enumerate(names):
+            if versions[position] is None:
+                # Unknown (raises here), or migrated since the map read.
+                store = self._shard_for_registered(name).store
+                versions[position] = store[name].version
+        return tuple(zip(names, versions))
+
+    def _build_cohort_table(
+        self, names: List[str], reuse: Dict[str, Tuple[int, PrefixTable]]
+    ) -> _CohortSlot:
+        """Stack the members' tables into a new cohort table.
+
+        ``reuse`` holds the ``(version, table)`` of members whose version
+        has not moved since the previous build; every other member goes
+        through its shard engine's ``table_versioned`` (one atomic store
+        snapshot).  So the key holds exactly the versions the stacked
+        tables carry, and a member's table is built once per version.
+        """
+        tables: List[PrefixTable] = []
+        key: List[Tuple[str, int]] = []
+        for name in names:
+            found = reuse.get(name)
+            if found is None:
+                found = self._shard_for_registered(name).engine.table_versioned(name)
+            version, table = found
+            tables.append(table)
+            key.append((name, version))
+        return tuple(key), tables, CohortTable(tables)
+
+    def _cohort_table(
+        self, spec: Any, names: List[str]
+    ) -> Tuple[CohortTable, Dict[str, int]]:
+        """The stacked table for a group query and its ``{member: version}``.
+
+        A named cohort's table is cached and rebuilt only when the
+        ordered ``(member, version)`` key read from the shard stores
+        changed; the rebuild fetches only the members whose version
+        moved.  An ad-hoc member list gets a table for this call only.
         """
         if not names:
             raise ValueError("group queries need at least one member")
-        tables: List[PrefixTable] = []
-        versions: Dict[str, int] = {}
-        for name in names:
-            shard = self._shard_for_registered(name)
-            version, table = shard.engine.table_versioned(name)
-            tables.append(table)
-            versions[name] = version
-        return tables, versions
+        cohort = spec if isinstance(spec, str) else None
+        with self._cohort_lock:
+            if cohort is not None and self._cohorts.get(cohort) != tuple(names):
+                cohort = None
+            cached = self._cohort_tables.get(cohort) if cohort is not None else None
+        reuse: Dict[str, Tuple[int, PrefixTable]] = {}
+        if cached is not None:
+            current = self._version_key(names)
+            if current == cached[0]:
+                return cached[2], dict(current)
+            unchanged = set(current)
+            reuse = {
+                name: (version, table)
+                for (name, version), table in zip(cached[0], cached[1])
+                if (name, version) in unchanged
+            }
+        slot = self._build_cohort_table(names, reuse)
+        if cohort is not None:
+            with self._cohort_lock:
+                # Cache only for the definition the table was built for.
+                if self._cohorts.get(cohort) == tuple(names):
+                    self._cohort_tables[cohort] = slot
+        return slot[2], dict(slot[0])
 
     def _observe_group(self, kind: str, names: List[str], start: float) -> None:
         # The group evaluation ran on the caller's thread, not inside any
@@ -703,8 +770,8 @@ class ShardRouter:
         ``(value, {member: version})``."""
         members = self.resolve_members(names)
         start = time.perf_counter()
-        tables, versions = self._group_tables(members)
-        value = group_tables_range_sum(tables, a, b)
+        table, versions = self._cohort_table(names, members)
+        value = table.range_sum(a, b)
         self._observe_group("group_range_sum", members, start)
         return value, versions
 
@@ -714,8 +781,8 @@ class ShardRouter:
         """Pooled range mean over a cohort / member list."""
         members = self.resolve_members(names)
         start = time.perf_counter()
-        tables, versions = self._group_tables(members)
-        value = group_tables_range_mean(tables, a, b)
+        table, versions = self._cohort_table(names, members)
+        value = table.range_mean(a, b)
         self._observe_group("group_range_mean", members, start)
         return value, versions
 
@@ -725,8 +792,8 @@ class ShardRouter:
         """Heaviest merged-partition pieces of the pooled member set."""
         members = self.resolve_members(names)
         start = time.perf_counter()
-        tables, versions = self._group_tables(members)
-        value = group_tables_top_k(tables, int(m))
+        table, versions = self._cohort_table(names, members)
+        value = table.top_k(int(m))
         self._observe_group("group_top_k", members, start)
         return value, versions
 

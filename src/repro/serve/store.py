@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -684,6 +684,20 @@ class SynopsisStore:
         if residency is not None:
             residency.enforce()
         return out
+
+    def versions(self, names: Sequence[str]) -> List[Optional[int]]:
+        """The current version of each name (None if absent), read under
+        one lock acquisition and without hydrating any payload.
+
+        A cached table built from snapshots at exactly these versions is
+        still current: a name's versions never repeat.
+        """
+        with self._lock:
+            entries = self._entries
+            return [
+                None if entry is None else entry.version
+                for entry in map(entries.get, names)
+            ]
 
     def summary(self) -> List[Dict[str, Any]]:
         """Metadata for every entry (name, family, size, error, version...).

@@ -6,8 +6,14 @@ The load-bearing properties:
 * ``register_many`` is *bit-identical* to the per-entry ``register_auto``
   loop (plan, payload, version) — amortizing one plan over a cohort must
   never change what gets built (Hypothesis, plain and sharded).
-* Group-by answers are *exact*: equal to the member-wise sum/merge for
-  every pair of synopsis families, carrying per-member snapshot versions.
+* Group-by answers are *exact*: byte for byte the member-order reduction
+  of the members' own ``PrefixTable`` answers, for any mix of synopsis
+  families, carrying per-member snapshot versions (Hypothesis, engine and
+  1-3-shard router).  The reference reduction lives here, in
+  ``member_order_sum`` / ``member_order_top_k``.
+* A router caches one cohort table per named cohort: warm group queries
+  build no table and leave the engines' LRU caches untouched, and a
+  member's new version triggers exactly one rebuild.
 * A ``ResidencyManager`` budget bounds resident payload bytes while every
   answer stays correct — cooled entries re-hydrate transparently.
 * Cohort definitions persist (schema bump) while cohort-less stores keep
@@ -19,6 +25,8 @@ from __future__ import annotations
 import io
 import itertools
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -31,13 +39,18 @@ from repro import (
     QueryEngine,
     ResidencyManager,
     ShardRouter,
+    StreamingHistogramLearner,
     SynopsisStore,
 )
 from repro.__main__ import main
 from repro.obs import get_default_registry
+from repro.serve import engine as engine_module
 from repro.serve import (
+    GROUP_QUERY_KINDS,
     SYNOPSIS_FAMILIES,
     AsyncServingFrontend,
+    CohortTable,
+    PrefixTable,
     QueryRequest,
     duplicate_entry_message,
     synopsis_to_dict,
@@ -198,6 +211,202 @@ class TestRegisterManyParity:
 # Group-by exactness
 # --------------------------------------------------------------------- #
 
+
+def member_order_sum(tables, a, b):
+    """The reference group range sum: every member's own
+    ``PrefixTable.range_sum``, added one member at a time in member order."""
+    total = tables[0].range_sum(a, b)
+    for table in tables[1:]:
+        total = total + table.range_sum(a, b)
+    return total
+
+
+def member_order_mean(tables, a, b):
+    """The reference pooled mean: the group sum over the range length."""
+    sums = member_order_sum(tables, a, b)
+    lengths = np.asarray(b, dtype=np.int64) - np.asarray(a, dtype=np.int64) + 1
+    out = sums / lengths.astype(np.float64)
+    return float(out) if np.ndim(a) == 0 and np.ndim(b) == 0 else out
+
+
+def member_order_top_k(tables, m):
+    """The reference group top-k: member-order masses over the merged
+    partition, ranked by a stable argsort."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    n = tables[0].n
+    for table in tables[1:]:
+        if table.n != n:
+            raise ValueError(
+                f"group top-k needs matching domains, got n={n} and n={table.n}"
+            )
+    lefts = np.unique(np.concatenate([table.prefix.lefts for table in tables]))
+    rights = np.append(lefts[1:] - 1, n - 1)
+    masses = member_order_sum(tables, lefts, rights)
+    order = np.argsort(-masses, kind="stable")[:m]
+    return [(int(lefts[u]), int(rights[u]), float(masses[u])) for u in order]
+
+
+def reference_group(fetch, members, kind, *args):
+    """One group query answered member by member: ``(value, versions)``.
+
+    ``fetch(name)`` returns a member's ``(version, PrefixTable)``, as the
+    engines' ``table_versioned`` does; errors surface where they would
+    when each member is fetched and evaluated in member order.
+    """
+    if not members:
+        raise ValueError("group queries need at least one member")
+    tables, versions = [], {}
+    for name in members:
+        version, table = fetch(name)
+        tables.append(table)
+        versions[name] = version
+    if kind == "group_top_k":
+        return member_order_top_k(tables, int(args[0])), versions
+    if kind == "group_range_sum":
+        return member_order_sum(tables, *args), versions
+    return member_order_mean(tables, *args), versions
+
+
+def _exact(value):
+    """A value as comparable bytes: dtype, shape and bits of arrays, the
+    type and bits of scalars, every field of a top-k list."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, list):
+        return [tuple(_exact(field) for field in item) for item in value]
+    if isinstance(value, float):
+        return (float, np.float64(value).tobytes())
+    return (type(value), value)
+
+
+def outcome(call):
+    """``call()``'s ``(value, versions)`` as exact bytes with the versions
+    in member order, or the type and message of what it raised."""
+    try:
+        value, versions = call()
+    except Exception as exc:  # compared, not swallowed: see the asserts
+        return ("error", type(exc), str(exc))
+    return ("ok", _exact(value), list(versions.items()))
+
+
+@st.composite
+def group_ranges(draw, n):
+    """``(a, b)`` for a group range query on ``[0, n)``: Python and NumPy
+    scalars, single-range and multi-range batches, a scalar against an
+    array, a 2-D grid; about one in five may be out of range or inverted."""
+    form = draw(st.sampled_from(["int", "numpy", "single", "batch", "mixed", "grid"]))
+    valid = draw(st.integers(0, 4)) > 0
+    size = {"single": 1, "grid": 6}.get(form, draw(st.integers(2, 8)))
+    point = st.integers(0, n - 1) if valid else st.integers(-1, n)
+    pairs = draw(st.lists(st.tuples(point, point), min_size=size, max_size=size))
+    if valid:
+        pairs = [(min(x, y), max(x, y)) for x, y in pairs]
+    a = np.array([x for x, _ in pairs], dtype=np.int64)
+    b = np.array([y for _, y in pairs], dtype=np.int64)
+    if form == "int":
+        return int(a[0]), int(b[0])
+    if form == "numpy":
+        return a[0], b[0]
+    if form == "mixed":
+        return (int(a.min()) if valid else int(a[0])), b
+    if form == "grid":
+        return a.reshape(2, 3), b.reshape(2, 3)
+    return a, b
+
+
+class TestGroupExactness:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_group_answers_equal_member_order_reduction(self, data):
+        """1-40 members of every family on one shared n (polynomial
+        coefficient rows mixed with histogram ones), answered through
+        QueryEngine and a 1-3-shard router, by named cohort (built, then
+        cached) and by member list: value and value type byte for byte,
+        ``{member: version}`` in member order, and every error's type and
+        message equal the member-order reference.  The member lists also
+        hit an unknown member, a member on another domain and the empty
+        list, and the evaluation runs in one pass or in many."""
+        per_pass = data.draw(
+            st.sampled_from([1, 7, 64, engine_module._PAIRS_PER_PASS]),
+            label="pairs per pass",
+        )
+        default = engine_module._PAIRS_PER_PASS
+        engine_module._PAIRS_PER_PASS = per_pass
+        try:
+            self._check_group_answers(data)
+        finally:
+            engine_module._PAIRS_PER_PASS = default
+
+    @staticmethod
+    def _check_group_answers(data):
+        n = data.draw(st.integers(1, 48), label="n")
+        families = data.draw(
+            st.lists(st.sampled_from(SYNOPSIS_FAMILIES), min_size=1, max_size=40),
+            label="families",
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        store = SynopsisStore()
+        router = ShardRouter(num_shards=data.draw(st.integers(1, 3), label="shards"))
+
+        def register(name, values, family, k):
+            for target in (store, router):
+                target.register(name, values, family=family, k=k)
+
+        names = []
+        for i, family in enumerate(families):
+            values = rng.normal(rng.uniform(-1.0, 3.0), rng.uniform(0.1, 3.0), n)
+            values[rng.random(n) < rng.uniform(0.0, 0.5)] = 0.0
+            names.append(f"m{i:02d}")
+            register(names[-1], values, family, int(rng.integers(1, 5)))
+        register("odd", rng.uniform(0.5, 2.0, n + 3), "merging", 2)
+        store.define_cohort("cohort", names)
+        router.define_cohort("cohort", names)
+        engine = QueryEngine(store)
+        surfaces = [
+            (engine, store.resolve_members, engine.table_versioned),
+            (router, router.resolve_members, router.table_versioned),
+        ]
+
+        targets = st.one_of(
+            st.just("cohort"),
+            st.lists(st.sampled_from(names + ["odd", "ghost"]), max_size=6),
+        )
+        for _ in range(data.draw(st.integers(1, 4), label="queries")):
+            kind = data.draw(st.sampled_from(GROUP_QUERY_KINDS))
+            target = data.draw(targets)
+            if kind == "group_top_k":
+                args = (data.draw(st.integers(-1, n + 2), label="m"),)
+            else:
+                args = data.draw(group_ranges(n), label="ranges")
+            for surface, resolve, fetch in surfaces:
+                want = outcome(
+                    lambda: reference_group(fetch, resolve(target), kind, *args)
+                )
+                # Twice: a named cohort is built, then answered from cache.
+                for _ in range(2):
+                    got = outcome(lambda: getattr(surface, kind)(target, *args))
+                    assert got == want, (type(surface).__name__, kind, target, args)
+
+    def test_single_range_sums_add_members_in_order(self):
+        """A one-range batch or a scalar range leaves one value per member
+        to add, where a pairwise sum (``np.add.reduce`` over the member
+        axis) rounds differently from the member-order one."""
+        rng = np.random.default_rng(5)
+        router = ShardRouter(num_shards=2)
+        names = [f"s{i:02d}" for i in range(40)]
+        for i, name in enumerate(names):
+            family = SYNOPSIS_FAMILIES[i % len(SYNOPSIS_FAMILIES)]
+            router.register(name, rng.normal(1.0, 2.0, 48), family=family, k=3)
+        router.define_cohort("all", names)
+        tables = [router.table_versioned(name)[1] for name in names]
+        for a, b in np.sort(rng.integers(0, 48, (100, 2)), axis=1):
+            scalar, _ = router.group_range_sum("all", int(a), int(b))
+            assert _exact(scalar) == _exact(member_order_sum(tables, int(a), int(b)))
+            single, _ = router.group_range_sum("all", [a], [b])
+            assert single.tobytes() == member_order_sum(tables, [a], [b]).tobytes()
+
+
 FAMILY_PAIRS = list(itertools.combinations(sorted(SYNOPSIS_FAMILIES), 2))
 
 
@@ -272,6 +481,207 @@ class TestGroupQueries:
             engine.group_range_sum(["a", "ghost"], 0, 5)
         with pytest.raises(ValueError):
             engine.group_range_sum([], 0, 5)
+        # The same on a router, plus the other bad inputs, on both.
+        router = ShardRouter(num_shards=2)
+        for target in (store, router):
+            target.register("a", np.arange(1.0, 17.0), family="merging", k=2)
+            target.register("b", np.ones(16), family="poly", k=2)
+            target.register("wide", np.ones(20), family="merging", k=1)
+        for group in (engine, router):
+            with pytest.raises(KeyError, match="ghost"):
+                group.group_top_k(["a", "ghost"], 2)
+            with pytest.raises(ValueError, match="at least one member"):
+                group.group_range_sum([], 0, 5)
+            with pytest.raises(ValueError, match=r"0 <= a <= b < 20$"):
+                group.group_range_mean(["wide", "a"], 5, 2)
+            with pytest.raises(ValueError, match=r"0 <= a <= b < 16$"):
+                group.group_range_sum("a,b", [3, 4], [2, 9])
+            with pytest.raises(ValueError, match=r"0 <= a <= b < 16$"):
+                group.group_range_sum(["wide", "a"], 0, 17)
+            with pytest.raises(ValueError, match="m must be >= 1"):
+                group.group_top_k(["a", "b"], 0)
+            with pytest.raises(ValueError, match="got n=16 and n=20"):
+                group.group_top_k(["a", "b", "wide"], 2)
+            value, versions = group.group_range_sum(["wide", "a"], 0, 15)
+            assert type(value) is float
+            assert list(versions) == ["wide", "a"]
+
+
+# --------------------------------------------------------------------- #
+# The router's cohort-table cache
+# --------------------------------------------------------------------- #
+
+
+def count_calls(monkeypatch, owner, attr):
+    """Count calls of ``owner.attr`` (a classmethod or plain method)."""
+    calls = [0]
+    original = owner.__dict__[attr]
+    function = original.__func__ if isinstance(original, classmethod) else original
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return function(*args, **kwargs)
+
+    wrapped = classmethod(counting) if isinstance(original, classmethod) else counting
+    monkeypatch.setattr(owner, attr, wrapped)
+    return calls
+
+
+def engine_counters(router):
+    return [shard.engine.cache_info() for shard in router.shards]
+
+
+@pytest.fixture
+def cohort_router():
+    """Two shards whose 8-table engine caches are far smaller than the
+    100-member cohort."""
+    router = ShardRouter(num_shards=2, cache_size=8)
+    named = fleet_signals(100, seed=21)
+    router.register_many(named, BuildBudget(max_bytes=400), cohort="fleet")
+    return router, [name for name, _ in named]
+
+
+class TestCohortTableCache:
+    def test_warm_queries_build_nothing_and_keep_hot_tables(
+        self, cohort_router, monkeypatch
+    ):
+        router, names = cohort_router
+        builds = count_calls(monkeypatch, PrefixTable, "from_synopsis")
+        router.group_range_sum("fleet", 0, 47)
+        assert builds[0] == 100  # the first query stacks every member once
+        hot = names[0]
+        router.range_sum(hot, 0, 10)
+        built, counters = builds[0], engine_counters(router)
+        for _ in range(3):
+            router.group_range_sum("fleet", [0, 5], [10, 47])
+            router.group_range_mean("fleet", 3, 9)
+            router.group_top_k("fleet", 4)
+        assert builds[0] == built
+        assert engine_counters(router) == counters
+        hits = router.entry_cache_info(hot)["hits"]
+        router.range_sum(hot, 0, 10)
+        assert router.entry_cache_info(hot)["hits"] == hits + 1
+        assert builds[0] == built
+
+    def test_new_member_version_rebuilds_once(self, cohort_router, monkeypatch):
+        router, names = cohort_router
+        router.group_top_k("fleet", 3)
+        rebuilds = count_calls(monkeypatch, CohortTable, "__init__")
+        builds = count_calls(monkeypatch, PrefixTable, "from_synopsis")
+        member = names[37]
+        router.register(member, np.linspace(1.0, 3.0, 48), family="merging", k=4)
+        a, b = np.array([0, 12, 40]), np.array([30, 47, 40])
+        value, versions = router.group_range_sum("fleet", a, b)
+        assert (rebuilds[0], builds[0]) == (1, 1)  # only the new version
+        assert list(versions) == names
+        assert versions[member] == 1
+        assert all(versions[name] == 0 for name in names if name != member)
+        tables = [router.table_versioned(name)[1] for name in names]
+        assert value.tobytes() == member_order_sum(tables, a, b).tobytes()
+        top, _ = router.group_top_k("fleet", 5)
+        assert top == member_order_top_k(tables, 5)
+        assert router.group_range_sum("fleet", 3, 9)[0] == member_order_sum(
+            tables, 3, 9
+        )
+        assert rebuilds[0] == 1
+
+    def test_slots_never_exceed_defined_cohorts(self, cohort_router):
+        router, names = cohort_router
+
+        def query_all():
+            for cohort in router.cohorts():
+                router.group_top_k(cohort, 2)
+            assert len(router._cohort_tables) <= len(router.cohorts())
+
+        router.define_cohort("head", names[:10])
+        query_all()
+        assert set(router._cohort_tables) == {"fleet", "head"}
+        router.remove(names[0])  # both cohorts lose a member
+        assert len(router._cohort_tables) <= len(router.cohorts())
+        query_all()
+        router.define_cohort("head", names[20:25])
+        assert "head" not in router._cohort_tables
+        value, versions = router.group_range_sum("head", 0, 47)
+        assert list(versions) == names[20:25]
+        tables = [router.table_versioned(name)[1] for name in names[20:25]]
+        assert value == member_order_sum(tables, 0, 47)
+        for name in names[20:25]:
+            router.remove(name)
+        assert "head" not in router.cohorts()
+        assert set(router._cohort_tables) <= {"fleet"}
+        router.group_range_sum(names[30:33], 0, 5)  # ad-hoc lists get no slot
+        router.group_range_sum(",".join(names[30:33]), 0, 5)
+        query_all()
+        assert set(router._cohort_tables) == {"fleet"}
+
+    def test_answers_match_reference_at_reported_versions_under_refresh(self):
+        router = ShardRouter(num_shards=2)
+        static = fleet_signals(6, seed=5)
+        for name, values in static:
+            router.register(name, values, family="merging", k=3)
+        rng = np.random.default_rng(0)
+        learner = StreamingHistogramLearner(n=48, k=3)
+        learner.extend(rng.integers(0, 48, 300))
+        router.register_stream("live", learner)
+        members = [name for name, _ in static[:3]] + ["live"] + [
+            name for name, _ in static[3:]
+        ]
+        router.define_cohort("mixed", members)
+        synopses = {
+            name: dict([router.shard_of(name).store.snapshot(name)])
+            for name in members
+        }
+        a, b = np.array([0, 7, 20]), np.array([47, 7, 33])
+        answers, errors = [], []
+        done = threading.Event()
+
+        def write():
+            try:
+                for _ in range(40):
+                    router.extend("live", rng.integers(0, 48, 50))
+                    router.refresh("live")
+                    version, synopsis = router.shard_of("live").store.snapshot("live")
+                    synopses["live"][version] = synopsis
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def read():
+            try:
+                while not done.is_set():
+                    answers.append(("sum",) + router.group_range_sum("mixed", a, b))
+                    answers.append(("top",) + router.group_top_k("mixed", 3))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=write)] + [
+                threading.Thread(target=read) for _ in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        last = max(synopses["live"])
+        answers.append(("sum",) + router.group_range_sum("mixed", a, b))
+        assert answers[-1][2]["live"] == last
+        for kind, value, versions in answers:
+            assert list(versions) == members
+            tables = [
+                PrefixTable.from_synopsis(synopses[name][versions[name]])
+                for name in members
+            ]
+            if kind == "sum":
+                assert value.tobytes() == member_order_sum(tables, a, b).tobytes()
+            else:
+                assert value == member_order_top_k(tables, 3)
 
 
 # --------------------------------------------------------------------- #

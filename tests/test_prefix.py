@@ -135,3 +135,31 @@ class TestPaperIdentity:
         for a, b in [(0, 29), (5, 12), (17, 17), (3, 28)]:
             _, _, _, err = brute_interval_stats(dense, a, b)
             assert ps.interval_err(a, b) == pytest.approx(err, abs=1e-9)
+
+
+class TestMemoizedPerFunction:
+    def test_one_object_per_function(self, sparse_signal):
+        ps = sparse_signal.prefix_sums()
+        assert sparse_signal.prefix_sums() is ps
+        assert ps.interval_sum(0, 49) == PrefixSums(sparse_signal).interval_sum(0, 49)
+
+    def test_merging_register_sums_its_input_once(self, monkeypatch):
+        """Algorithm 1, the flattening and the build's error measurement
+        all read one memoized PrefixSums of the registered series."""
+        from repro import ShardRouter
+        from repro.core import prefix
+
+        calls = []
+        original = prefix.PrefixSums.__init__
+
+        def counting(self, q):
+            calls.append(q)
+            original(self, q)
+
+        monkeypatch.setattr(prefix.PrefixSums, "__init__", counting)
+        series = np.cumsum(np.random.default_rng(4).normal(size=20_000)) + 500.0
+        router = ShardRouter(num_shards=2)
+        entry = router.register("walk", series, family="merging", k=8)
+        assert len(calls) == 1
+        assert entry.result.error >= 0.0
+        assert entry.result.error == entry.result.synopsis.l2_to_sparse(calls[0])
