@@ -127,7 +127,7 @@ def _measure_residency() -> dict:
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fleet"
-        save_store(store, path, layout="mmap")
+        save_store(store, path)
         cold = load_store(path, lazy=True)
 
         names = list(cold.names())

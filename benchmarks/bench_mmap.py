@@ -5,7 +5,10 @@ segment is mapped: hydration resolves offset specs to zero-copy views,
 so the first query after process start pays O(1) setup instead of the
 npz layout's full deflate round-trip over every payload array.  This
 file measures that claim head-to-head — the *same* store saved both
-ways, then hydrated cold:
+ways, then hydrated cold.  The library writes only the mmap layout, so
+the npz copy comes from ``_save_npz_store`` here, which writes the
+schema-3 layout older saves wrote; both copies load through the
+library's readers:
 
 * **one entry cold** — ``load_store(lazy=True)`` followed by a single
   entry hydration, best of several fresh loads.  This is the serving
@@ -29,12 +32,15 @@ import json
 import os
 import tempfile
 import time
+import uuid
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.serve import persistence
+from repro.serve.mmap_store import flatten_payload
 from repro.serve.persistence import load_store, save_store
 from repro.serve.store import SynopsisStore
 
@@ -60,6 +66,37 @@ def _build_store() -> SynopsisStore:
     return store
 
 
+def _save_npz_store(store: SynopsisStore, path: Path) -> None:
+    """Write ``store`` in the legacy schema-3 npz layout: one compressed
+    payload per entry plus a manifest of the entry records."""
+    path.mkdir()
+    store_uid = uuid.uuid4().hex
+    records = []
+    for index, name in enumerate(store.names()):
+        entry = store[name]
+        payload_name = f"entry-{index:04d}.npz"
+        skeleton, arrays = flatten_payload(
+            persistence._entry_payload(entry, store_uid)
+        )
+        np.savez_compressed(
+            path / payload_name,
+            **arrays,
+            __skeleton__=np.asarray(json.dumps(skeleton)),
+        )
+        records.append(persistence._manifest_entry(entry, payload_name))
+    manifest = {
+        "format": persistence.STORE_FORMAT,
+        "schema": 3,
+        "store_uid": store_uid,
+        "entries": records,
+        "last_versions": dict(store._last_versions),
+    }
+    (path / persistence.MANIFEST_NAME).write_text(json.dumps(manifest))
+
+
+SAVERS = {"npz": _save_npz_store, "mmap": save_store}
+
+
 def _hydrate_seconds(store) -> float:
     """The store's own ``store_hydrate_seconds`` histogram sum."""
     registry = getattr(store, "registry", None) or MetricsRegistry()
@@ -73,7 +110,7 @@ def _measure_layout(store: SynopsisStore, layout: str) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / layout
         start = time.perf_counter()
-        save_store(store, path, layout=layout)
+        SAVERS[layout](store, path)
         save_s = time.perf_counter() - start
 
         disk_bytes = sum(f.stat().st_size for f in path.iterdir())

@@ -28,11 +28,10 @@ Serving commands:
   ``--hot-qps``) — and
   ``--rebalance-interval S`` runs that same pass in the background
 * ``save``        — build synopses and persist the store to a directory
-  (``--shards N`` writes the sharded layout; ``--families auto`` plans;
-  ``--layout npz`` writes the legacy compressed layout instead of the
-  default memory-mappable segments)
+  of memory-mappable segments (``--shards N`` writes the sharded layout;
+  ``--families auto`` plans)
 * ``load``        — load + fully validate a persisted store (plain or
-  sharded, detected automatically)
+  sharded, detected automatically; legacy npz stores load too)
 * ``inspect``     — print a persisted store's manifest(s) — for sharded
   stores the parent shard map plus every shard (no payload reads;
   ``--sort error`` ranks entries NaN-safely; ``--name`` opens only the
@@ -49,6 +48,7 @@ Run ``python -m repro <command> --help`` for per-command options.
 
 from __future__ import annotations
 
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -102,7 +102,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if name not in COMMANDS:
         print(f"unknown command {name!r}; available: {', '.join(COMMANDS)}")
         return 2
-    COMMANDS[name](args[1:])
+    try:
+        COMMANDS[name](args[1:])
+        sys.stdout.flush()  # a block-buffered pipe still holds the last lines
+    except BrokenPipeError:
+        # The reader of our output went away (``... | head -1``): nothing
+        # more can reach it.  Point stdout at devnull so the interpreter's
+        # exit flush does not fail on the closed pipe again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

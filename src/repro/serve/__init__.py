@@ -17,9 +17,10 @@ into a queryable system:
   ``router.register_auto``).
 * :mod:`repro.serve.store` — :class:`SynopsisStore`, a named collection of
   built synopses with versioning and streaming-backed refresh.
-* :mod:`repro.serve.persistence` — durable store directories: JSON
-  manifest + per-entry npz payloads, atomic replace, lazy hydration
-  (``store.save(path)`` / ``SynopsisStore.load(path)``).
+* :mod:`repro.serve.persistence` — durable store directories: a JSON
+  segment index + memory-mappable raw-array segments, atomic replace,
+  lazy hydration (``store.save(path)`` / ``SynopsisStore.load(path)``;
+  legacy per-entry npz stores still load).
 * :mod:`repro.serve.engine` — :class:`QueryEngine`, batched vectorized
   ``range_sum`` / ``range_mean`` / ``point_mass`` / ``cdf`` /
   ``quantile`` / ``top_k_buckets`` evaluation over the store, backed by

@@ -57,12 +57,11 @@ only when no cheap candidate satisfies it (``plan <name>`` prints the
 full decision record).
 
 The persistence commands operate on store directories written by
-``SynopsisStore.save`` / ``ShardRouter.save`` (segmented mmap layout by
-default; ``--layout npz`` writes the legacy per-entry npz layout):
+``SynopsisStore.save`` / ``ShardRouter.save`` (segmented mmap layout;
+legacy per-entry npz stores from older saves still load and inspect):
 
 * ``save`` builds one synopsis per family over a dataset and persists the
-  store to ``--store-dir`` (``--shards N`` writes the sharded layout;
-  ``--layout``/``--segment-size`` pick the on-disk payload format).
+  store to ``--store-dir`` (``--shards N`` writes the sharded layout).
 * ``load`` fully hydrates a persisted store — plain or sharded — warms
   the engines over it, and prints each entry's metadata: a validation
   pass.  ``--shards N`` additionally asserts the shard count.
@@ -77,7 +76,6 @@ Dataset-building commands use the Table 1 datasets (``hist``, ``poly``,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import threading
 from pathlib import Path
@@ -98,7 +96,6 @@ from ..sampling.windowed import WindowedStreamLearner
 from .builders import SYNOPSIS_FAMILIES
 from .engine import QueryEngine
 from .persistence import (
-    DEFAULT_SEGMENT_SIZE,
     StoreCorruptionError,
     detect_store_format,
     iter_manifest_entries,
@@ -311,12 +308,7 @@ def _load_router_or_exit(
     return router
 
 
-def _save_router(
-    router: ShardRouter,
-    target: str,
-    layout: str = "mmap",
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> None:
+def _save_router(router: ShardRouter, target: str) -> None:
     """Persist a router: a one-shard router round-trips as a plain store,
     keeping single-shard deployments compatible with the unsharded layout."""
     if router.num_shards == 1:
@@ -328,27 +320,9 @@ def _save_router(
         for cohort, members in router.cohorts().items():
             if all(member in names for member in members):
                 store.define_cohort(cohort, members)
-        store.save(target, layout=layout, segment_size=segment_size)
+        store.save(target)
     else:
-        router.save(target, layout=layout, segment_size=segment_size)
-
-
-def _layout_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--layout",
-        default="mmap",
-        choices=["mmap", "npz"],
-        help="payload layout: mmap (schema 4, raw little-endian segments "
-        "that load memory-maps; the default) or npz (legacy schema-3 "
-        "per-entry npz files, loadable by older readers)",
-    )
-    parser.add_argument(
-        "--segment-size",
-        type=int,
-        default=DEFAULT_SEGMENT_SIZE,
-        metavar="E",
-        help="entries per segment in the mmap layout",
-    )
+        router.save(target)
 
 
 def _summary_line(meta: dict) -> str:
@@ -890,7 +864,9 @@ def serve_main(
                 print(f"unknown command {cmd!r}", file=out)
         except BrokenPipeError:
             # The reader of our output went away (``serve ... | grep -q``):
-            # nothing more can reach it, so stop serving quietly.
+            # nothing more can reach it, so stop serving quietly rather
+            # than print it as an OSError below.  ``repro.__main__``
+            # handles the final flush.
             break
         except (
             KeyError,
@@ -901,13 +877,6 @@ def serve_main(
         ) as exc:
             print(f"error: {exc}", file=out)
     stop_rebalancing.set()
-    try:
-        out.flush()  # a block-buffered pipe still holds the last lines
-    except BrokenPipeError:
-        if out is sys.stdout:
-            # Send them to devnull so the interpreter's exit flush does not
-            # fail on the closed pipe again and print "Exception ignored".
-            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
     return 0
 
 
@@ -999,15 +968,12 @@ def save_main(argv: Optional[Sequence[str]] = None) -> int:
     _budget_arguments(parser)
     _shards_argument(parser)
     _window_argument(parser)
-    _layout_arguments(parser)
     parser.add_argument("--store-dir", required=True, help="output store directory")
     args = parser.parse_args(argv)
 
     router = _build_family_router(args)
     try:
-        _save_router(
-            router, args.store_dir, layout=args.layout, segment_size=args.segment_size
-        )
+        _save_router(router, args.store_dir)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"error: {exc}")
     for meta in router.summary():

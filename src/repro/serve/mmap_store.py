@@ -6,17 +6,17 @@ dtype, and shape recorded in the segment manifest.  Hydrating a cold
 entry is then O(1): ``np.memmap`` the segment once and hand out
 zero-copy views — no decompression, no per-entry file open, and N
 serving processes mapping the same segment share one OS page cache.
-The npz layout this replaces (``np.savez_compressed``) pays a full
-deflate round-trip per cold entry and duplicates the decompressed
-arrays in every process.
+The legacy npz layout it replaced (compressed per-entry archives) pays
+a full deflate round-trip per cold entry and duplicates the
+decompressed arrays in every process.
 
 This module is the layer *below* :mod:`repro.serve.persistence` and
 knows nothing about manifests, stores, or schema versions.  It provides:
 
 * :func:`flatten_payload` / :func:`restore_payload` — split a universal
   ``to_dict`` payload into a JSON skeleton plus exact numeric arrays
-  (and back).  The split is byte-identical to the one the npz layout
-  uses, so the two layouts round-trip the same synopsis bitwise.
+  (and back).  The split is byte-identical to the one in the legacy npz
+  stores, so the two layouts round-trip the same synopsis bitwise.
 * :class:`SegmentWriter` — append payloads' arrays to one segment data
   file (16-byte aligned, little-endian), returning the offset table to
   record in the segment manifest.

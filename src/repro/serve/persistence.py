@@ -1,10 +1,9 @@
 """Disk persistence for :class:`~repro.serve.store.SynopsisStore` and
 sharded stores (:class:`~repro.serve.router.ShardRouter`).
 
-A persisted store is a directory in one of two layouts.  The default
-**mmap layout** (schema 4) groups entries into segments of raw
-little-endian array data plus a per-segment manifest, indexed by a small
-top-level manifest::
+A persisted store is a directory in the **mmap layout** (schema 4):
+entries are grouped into segments of raw little-endian array data plus a
+per-segment manifest, indexed by a small top-level manifest::
 
     store_dir/
       manifest.json       # format tag, schema 4, segment index
@@ -20,7 +19,8 @@ store share one OS page cache.  The segment index means
 loading or inspecting a subset of a huge store touches only the
 segments holding the requested names.
 
-The legacy **npz layout** (schema <= 3) is one npz payload per entry::
+Stores saved before schema 4 use the legacy **npz layout** (schema <= 3),
+one npz payload per entry::
 
     store_dir/
       manifest.json     # format tag, schema version, per-entry metadata
@@ -28,13 +28,12 @@ The legacy **npz layout** (schema <= 3) is one npz payload per entry::
       entry-0001.npz
       ...
 
-It remains fully supported as a compat reader, and ``save_store(...,
-layout="npz")`` still writes it (stamped at schema 3, so older readers
-load it unchanged).  Both layouts split the universal type-tagged
-``to_dict`` payloads of :mod:`repro.serve.builders` into the same JSON
-skeleton plus exact float64/int64 arrays (see
-:mod:`repro.serve.mmap_store`), so reloaded synopses answer queries
-bitwise-identically to the originals regardless of layout.
+Nothing writes it any more; a frozen reader keeps such stores loadable.
+Both layouts split the universal type-tagged ``to_dict`` payloads of
+:mod:`repro.serve.builders` into the same JSON skeleton plus exact
+float64/int64 arrays (see :mod:`repro.serve.mmap_store`), so reloaded
+synopses answer queries bitwise-identically to the originals regardless
+of layout.
 
 A persisted *sharded* store is a parent directory whose manifest names
 the shard map and one ordinary store directory per shard::
@@ -93,7 +92,6 @@ from .mmap_store import (
     SegmentFormatError,
     SegmentReader,
     SegmentWriter,
-    flatten_payload as _flatten_payload,
     read_segment_header,
     restore_payload as _restore_payload,
 )
@@ -101,11 +99,9 @@ from .planner import BuildPlan
 from .store import StoreEntry, SynopsisStore
 
 __all__ = [
-    "DEFAULT_SEGMENT_SIZE",
     "LEARNER_KINDS",
     "MANIFEST_NAME",
     "MMAP_SCHEMA_VERSION",
-    "NPZ_SCHEMA_VERSION",
     "SHARDED_FORMAT",
     "SHARDED_SCHEMA_VERSION",
     "STORE_FORMAT",
@@ -133,16 +129,16 @@ STORE_FORMAT = "repro-synopsis-store"
 # Schema 4 (mmap layout): the top-level manifest holds a *segment index*
 # instead of an entry list; entry records live in per-segment JSON
 # manifests and reference raw little-endian arrays by offset into the
-# segment's memory-mappable ``.bin`` file.  ``layout="npz"`` still
-# writes the schema-3 per-entry-npz layout, and schema 1-3 stores load
-# unchanged; loaders older than the bump refuse newer stores cleanly.
+# segment's memory-mappable ``.bin`` file.  It is the only layout saves
+# write; schema 1-3 (per-entry npz) stores load unchanged through the
+# frozen npz reader, and loaders older than the bump refuse newer stores
+# cleanly.
 # Schema 5 (fleet cohorts): the top-level manifest may carry a
 # ``"cohorts"`` table mapping cohort names to member-entry lists.  The
 # layout is otherwise schema 4, and a save with no cohorts still stamps
 # schema 4, so cohort-less stores remain loadable by older readers.
 STORE_SCHEMA_VERSION = 5
 MMAP_SCHEMA_VERSION = 4
-NPZ_SCHEMA_VERSION = 3
 SHARDED_FORMAT = "repro-synopsis-store-sharded"
 # Sharded schema 2: the shard map carries a map version.  Schema-1 parent
 # manifests still load with version 0, and loaders older than the bump
@@ -155,10 +151,10 @@ SHARDED_FORMAT = "repro-synopsis-store-sharded"
 # load unchanged with no cohorts.
 SHARDED_SCHEMA_VERSION = 3
 
-#: Entries per segment in the mmap layout.  Small enough that selective
-#: loads of a million-entry store touch a sliver of it, large enough
-#: that the per-segment file-count overhead stays negligible.
-DEFAULT_SEGMENT_SIZE = 256
+#: Entries per segment.  Small enough that selective loads of a
+#: million-entry store touch a sliver of it, large enough that the
+#: per-segment file-count overhead stays negligible.
+SEGMENT_SIZE = 256
 
 # Streaming-learner payload dispatch: the "kind" tag of a persisted
 # learner state names its class, exactly like SYNOPSIS_CODECS for
@@ -186,15 +182,8 @@ class StoreCorruptionError(RuntimeError):
 
 
 # --------------------------------------------------------------------- #
-# npz payload files (legacy layout, schema <= 3)
+# npz payload files (legacy layout, schema <= 3; read only)
 # --------------------------------------------------------------------- #
-
-
-def _write_payload(path: Path, payload: Dict[str, Any]) -> None:
-    skeleton, arrays = _flatten_payload(payload)
-    np.savez_compressed(
-        path, **arrays, __skeleton__=np.asarray(json.dumps(skeleton))
-    )
 
 
 def _read_payload(path: Path) -> Dict[str, Any]:
@@ -268,31 +257,6 @@ def _check_replace_target(path: Path) -> None:
             )
 
 
-def _check_layout(layout: str) -> None:
-    if layout not in ("mmap", "npz"):
-        raise ValueError(
-            f"unknown store layout {layout!r} (expected 'mmap' or 'npz')"
-        )
-
-
-def _write_store_contents(
-    store: SynopsisStore,
-    target: Path,
-    layout: str = "mmap",
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> None:
-    """Write one store's payloads + manifest into ``target`` (no atomicity).
-
-    Callers own crash safety: ``target`` must be inside a temporary
-    directory that is atomically published afterwards.
-    """
-    _check_layout(layout)
-    if layout == "npz":
-        _write_store_contents_npz(store, target)
-    else:
-        _write_store_contents_mmap(store, target, segment_size)
-
-
 def _saveable_cohorts(store: SynopsisStore) -> Dict[str, List[str]]:
     """The store's cohort table restricted to members this save writes."""
     saved = set(store.names())
@@ -304,43 +268,17 @@ def _saveable_cohorts(store: SynopsisStore) -> Dict[str, List[str]]:
     return cohorts
 
 
-def _write_store_contents_npz(store: SynopsisStore, target: Path) -> None:
-    """The legacy per-entry-npz layout, stamped at schema 3."""
-    store_uid = uuid.uuid4().hex
-    entries = []
-    for index, name in enumerate(store.names()):
-        entry = store[name]
-        entry.hydrate()
-        payload_name = f"entry-{index:04d}.npz"
-        _write_payload(target / payload_name, _entry_payload(entry, store_uid))
-        entries.append(_manifest_entry(entry, payload_name))
-    manifest = {
-        "format": STORE_FORMAT,
-        "schema": NPZ_SCHEMA_VERSION,
-        "store_uid": store_uid,
-        "entries": entries,
-        "last_versions": dict(store._last_versions),
-    }
-    cohorts = _saveable_cohorts(store)
-    if cohorts:
-        # Additive key: schema stays 3, older readers ignore it.
-        manifest["cohorts"] = cohorts
-    with open(target / MANIFEST_NAME, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(manifest))
+def _write_store_contents(store: SynopsisStore, target: Path) -> None:
+    """Write one store's segments + manifest into ``target`` (no atomicity).
 
-
-def _write_store_contents_mmap(
-    store: SynopsisStore, target: Path, segment_size: int
-) -> None:
-    """The schema-4 segmented mmap layout."""
-    segment_size = int(segment_size)
-    if segment_size < 1:
-        raise ValueError(f"segment_size must be >= 1, got {segment_size}")
+    Callers own crash safety: ``target`` must be inside a temporary
+    directory that is atomically published afterwards.
+    """
     store_uid = uuid.uuid4().hex
     names = store.names()
     segments = []
-    for seg_index, start in enumerate(range(0, len(names), segment_size)):
-        chunk = names[start : start + segment_size]
+    for seg_index, start in enumerate(range(0, len(names), SEGMENT_SIZE)):
+        chunk = names[start : start + SEGMENT_SIZE]
         manifest_name = f"segment-{seg_index:04d}.json"
         data_name = f"segment-{seg_index:04d}.bin"
         records = []
@@ -375,7 +313,7 @@ def _write_store_contents_mmap(
         "schema": STORE_SCHEMA_VERSION if cohorts else MMAP_SCHEMA_VERSION,
         "layout": "mmap",
         "store_uid": store_uid,
-        "segment_size": segment_size,
+        "segment_size": SEGMENT_SIZE,
         "segments": segments,
         "last_versions": dict(store._last_versions),
     }
@@ -406,18 +344,11 @@ def _atomic_publish(tmp: Path, path: Path, token: str) -> None:
         os.rename(tmp, path)
 
 
-def save_store(
-    store: SynopsisStore,
-    path: Union[str, Path],
-    layout: str = "mmap",
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> None:
+def save_store(store: SynopsisStore, path: Union[str, Path]) -> None:
     """Persist ``store`` to directory ``path``, atomically replacing it.
 
-    ``layout="mmap"`` (the default) writes the schema-4 segmented layout
-    whose payloads memory-map; ``layout="npz"`` writes the legacy
-    per-entry-npz layout at schema 3 for consumption by older readers.
-    ``segment_size`` bounds entries per segment in the mmap layout.
+    Writes the schema-4 segmented layout, whose payloads memory-map, in
+    segments of :data:`SEGMENT_SIZE` entries.
 
     All payloads and the manifest are written to a temporary sibling
     directory first; only after every byte is on disk is the target swapped
@@ -434,33 +365,26 @@ def save_store(
     loaded-but-unqueried store is a faithful copy.
     """
     path = Path(path)
-    _check_layout(layout)
     _check_replace_target(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     token = uuid.uuid4().hex[:8]
     tmp = path.parent / f".{path.name}.tmp-{token}"
     tmp.mkdir()
     try:
-        _write_store_contents(store, tmp, layout=layout, segment_size=segment_size)
+        _write_store_contents(store, tmp)
         _atomic_publish(tmp, path, token)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def save_sharded(
-    router,
-    path: Union[str, Path],
-    layout: str = "mmap",
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> None:
+def save_sharded(router, path: Union[str, Path]) -> None:
     """Persist a :class:`~repro.serve.router.ShardRouter` atomically.
 
-    Writes one ordinary store directory per shard (in the requested
-    ``layout``) plus a parent manifest carrying the shard count and the
-    explicit name-to-shard map, all into a temporary sibling swapped in
-    by rename — the whole sharded store appears (or is replaced) as one
-    atomic unit, with the same crash-safety contract as
-    :func:`save_store`.
+    Writes one ordinary store directory per shard plus a parent manifest
+    carrying the shard count and the explicit name-to-shard map, all into
+    a temporary sibling swapped in by rename — the whole sharded store
+    appears (or is replaced) as one atomic unit, with the same
+    crash-safety contract as :func:`save_store`.
 
     Every shard's write lock is held (in shard order) for the duration of
     the save, so the saved shards and the serialized shard map form one
@@ -469,7 +393,6 @@ def save_sharded(
     Queries are never blocked — only writers wait.
     """
     path = Path(path)
-    _check_layout(layout)
     _check_replace_target(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     token = uuid.uuid4().hex[:8]
@@ -485,12 +408,7 @@ def save_sharded(
             for shard in router.shards:
                 shard_dir = f"shard-{shard.index:04d}"
                 (tmp / shard_dir).mkdir()
-                _write_store_contents(
-                    shard.store,
-                    tmp / shard_dir,
-                    layout=layout,
-                    segment_size=segment_size,
-                )
+                _write_store_contents(shard.store, tmp / shard_dir)
                 shard_dirs.append(shard_dir)
             cohorts = {
                 cohort: list(members)
@@ -871,7 +789,7 @@ def load_store(
     store_cls: type = SynopsisStore,
     names: Optional[Sequence[str]] = None,
 ) -> SynopsisStore:
-    """Load a store persisted by :func:`save_store` (either layout).
+    """Load a store directory in either layout (see the module docstring).
 
     With ``lazy=True`` (the default) only the manifest(s) are
     materialized; each entry's payload hydrates on its first query, so a

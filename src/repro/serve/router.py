@@ -855,7 +855,8 @@ class ShardRouter:
         growing the shard count moves nothing, shrinking it moves only
         the entries whose shard disappeared (re-derived from the new
         count's stable hash) — so a reshard never scrambles placements
-        the rebalancer (or an operator) chose deliberately.
+        the rebalancer (or an operator) chose deliberately.  Cohorts name
+        members, not shards, so they carry over unchanged.
         """
         new = ShardRouter(
             num_shards,
@@ -885,6 +886,9 @@ class ShardRouter:
                 index = self._sticky_index(name, num_shards)
                 new.shard_map.assign_to(name, index)
                 new.shards[index].store._last_versions[name] = floor
+        # The new router builds its own stacked tables on first query.
+        with self._cohort_lock:
+            new._cohorts = dict(self._cohorts)
         return new
 
     def _sticky_index(self, name: str, num_shards: int) -> int:
@@ -899,15 +903,12 @@ class ShardRouter:
     # Persistence (implementation in repro.serve.persistence)
     # ------------------------------------------------------------------ #
 
-    def save(self, path, **kwargs) -> None:
-        """Persist as a sharded store directory (atomic replace).
-
-        Keyword arguments (``layout``, ``segment_size``) pass through to
-        :func:`repro.serve.persistence.save_sharded`.
-        """
+    def save(self, path) -> None:
+        """Persist as a sharded store directory (atomic replace); see
+        :func:`repro.serve.persistence.save_sharded`."""
         from .persistence import save_sharded
 
-        save_sharded(self, path, **kwargs)
+        save_sharded(self, path)
 
     @classmethod
     def load(cls, path, lazy: bool = True, cache_size: int = 32) -> "ShardRouter":

@@ -800,15 +800,12 @@ class SynopsisStore:
     # Persistence (implementation in repro.serve.persistence)
     # ------------------------------------------------------------------ #
 
-    def save(self, path, **kwargs) -> None:
-        """Persist the store to directory ``path`` (atomic replace).
-
-        Keyword arguments (``layout``, ``segment_size``) pass through to
-        :func:`repro.serve.persistence.save_store`.
-        """
+    def save(self, path) -> None:
+        """Persist the store to directory ``path`` (atomic replace); see
+        :func:`repro.serve.persistence.save_store`."""
         from .persistence import save_store
 
-        save_store(self, path, **kwargs)
+        save_store(self, path)
 
     @classmethod
     def load(cls, path, lazy: bool = True) -> "SynopsisStore":

@@ -1,21 +1,22 @@
-"""Regenerate the golden persisted-store fixtures (plain and sharded).
+"""Regenerate the schema-4 golden store fixture, ``golden_mmap_store/``.
 
 Run from the repo root::
 
     PYTHONPATH=src:tests python tests/fixtures/make_golden_store.py
 
-Writes ``tests/fixtures/golden_store/`` (a persisted ``SynopsisStore``,
-legacy npz layout) with ``golden_expected.json``, plus
+``test_mmap.py`` asserts that current code loads the checked-in store
+into the answers recorded in ``golden_expected.json``, guarding the
+segmented layout against silent format drift, so only regenerate after
+a *deliberate* schema bump.
+
+``golden_store/`` (the same entries in the schema-3 npz layout),
 ``golden_sharded_store/`` (the same entries persisted through a 2-shard
-``ShardRouter``) with ``golden_sharded_expected.json``, plus
-``golden_mmap_store/`` (the same entries in the schema-4 segmented mmap
-layout, sharing ``golden_expected.json``).  ``test_persistence.py`` /
-``test_shard.py`` / ``test_mmap.py`` assert that current code loads the
-checked-in stores into the same answers, guarding the npz compat
-reader, the sharded parent manifest, and the segmented layout against
-silent format drift — so only regenerate after a *deliberate* schema
-bump, and commit the fixtures together.  ``--which mmap`` regenerates
-only the mmap store, leaving the npz goldens byte-identical.
+``ShardRouter``, with ``wavelet`` and ``live`` pinned to shard 1),
+``golden_expected.json`` and ``golden_sharded_expected.json`` were
+written by the npz store writer, which the library no longer has.  They
+are frozen: ``test_persistence.py`` / ``test_shard.py`` load them to
+guard the npz reader and the sharded parent manifest for stores already
+on disk, and nothing regenerates them.
 
 The input signal is exact rational arithmetic (no RNG, no libm), so the
 stores' contents are reproducible bit-for-bit across platforms.
@@ -23,34 +24,20 @@ stores' contents are reproducible bit-for-bit across platforms.
 
 from __future__ import annotations
 
-import argparse
-import json
 from pathlib import Path
 
 import numpy as np
 
 from repro import (
     BuildBudget,
-    QueryEngine,
-    ShardRouter,
     StreamingHistogramLearner,
     SynopsisStore,
     WindowedStreamLearner,
 )
 
-FIXTURE_DIR = Path(__file__).resolve().parent
-STORE_DIR = FIXTURE_DIR / "golden_store"
-EXPECTED_PATH = FIXTURE_DIR / "golden_expected.json"
-SHARDED_STORE_DIR = FIXTURE_DIR / "golden_sharded_store"
-SHARDED_EXPECTED_PATH = FIXTURE_DIR / "golden_sharded_expected.json"
-MMAP_STORE_DIR = FIXTURE_DIR / "golden_mmap_store"
-NUM_SHARDS = 2
+MMAP_STORE_DIR = Path(__file__).resolve().parent / "golden_mmap_store"
 
 N = 64
-RANGES = [(0, 63), (5, 20), (32, 40)]
-CDF_POSITIONS = [0, 10, 31, 63]
-QUANTILE_LEVELS = [0.1, 0.25, 0.5, 0.9]
-HEAVY_PHI = 0.1
 
 
 def golden_signal() -> np.ndarray:
@@ -75,21 +62,22 @@ def golden_window_samples() -> np.ndarray:
     return samples
 
 
-def _register_all(target) -> None:
-    """Register the golden entries into a store or router (same surface)."""
+def build_store() -> SynopsisStore:
+    """The golden entries: one of every persisted entry kind."""
+    store = SynopsisStore()
     signal = golden_signal()
-    target.register("merging", signal, family="merging", k=4)
-    target.register("wavelet", signal, family="wavelet", k=4)
-    target.register("poly", signal, family="poly", k=3, degree=2)
-    target.register("exact", signal, family="exact", k=1)
+    store.register("merging", signal, family="merging", k=4)
+    store.register("wavelet", signal, family="wavelet", k=4)
+    store.register("poly", signal, family="poly", k=3, degree=2)
+    store.register("exact", signal, family="exact", k=1)
     learner = StreamingHistogramLearner(n=N, k=3)
     learner.extend(golden_samples())
-    target.register_stream("live", learner)
+    store.register_stream("live", learner)
     # An auto-planned entry (schema 2): its BuildPlan decision record
     # persists in the manifest, so the golden store also guards the plan
     # schema.  No time budget — the decision is then fully deterministic
     # (build_ms fields are recorded but don't influence the choice).
-    target.register_auto("auto", signal, BuildBudget(max_bytes=200))
+    store.register_auto("auto", signal, BuildBudget(max_bytes=200))
     # A sliding-window streaming entry (schema 3): the epoch ring and the
     # per-epoch Misra–Gries sketches persist in the payload, so the golden
     # store guards the windowed learner state format too.
@@ -97,99 +85,13 @@ def _register_all(target) -> None:
         n=N, k=3, window_size=300, num_epochs=4, sketch_eps=0.02
     )
     windowed.extend(golden_window_samples())
-    target.register_stream("window", windowed)
-
-
-def build_store() -> SynopsisStore:
-    store = SynopsisStore()
-    _register_all(store)
+    store.register_stream("window", windowed)
     return store
 
 
-def build_router() -> ShardRouter:
-    # Every golden name happens to hash to shard 0 under 2 shards, so pin
-    # two entries to shard 1 explicitly: the fixture then exercises a
-    # genuinely multi-shard layout AND guards the "persisted assignments
-    # beat the hash" contract on load.
-    from repro import ShardMap
-
-    shard_map = ShardMap(NUM_SHARDS, {"wavelet": 1, "live": 1})
-    router = ShardRouter(num_shards=NUM_SHARDS, shard_map=shard_map)
-    _register_all(router)
-    return router
-
-
-def record_answers(engine) -> dict:
-    """Every query kind per entry (``engine`` is a QueryEngine or router)."""
-    answers = {}
-    for name in engine.store.names() if hasattr(engine, "store") else engine.names():
-        a = np.asarray([r[0] for r in RANGES])
-        b = np.asarray([r[1] for r in RANGES])
-        per_entry = {
-            "range_sum": engine.range_sum(name, a, b).tolist(),
-            "range_mean": engine.range_mean(name, a, b).tolist(),
-            "point_mass": engine.point_mass(name, np.asarray(CDF_POSITIONS)).tolist(),
-            "cdf": engine.cdf(name, np.asarray(CDF_POSITIONS)).tolist(),
-            "quantile": engine.quantile(
-                name, np.asarray(QUANTILE_LEVELS)
-            ).tolist(),
-        }
-        if name == "window":
-            per_entry["heavy_hitters"] = [
-                list(pair) for pair in engine.heavy_hitters(name, HEAVY_PHI)
-            ]
-        answers[name] = per_entry
-    return answers
-
-
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--which",
-        default="all",
-        choices=["all", "mmap"],
-        help="'mmap' regenerates only golden_mmap_store, leaving the "
-        "checked-in npz goldens byte-identical",
-    )
-    args = parser.parse_args()
-
-    # The mmap fixture reuses golden_expected.json: same entries, same
-    # answers — only the payload encoding differs.
-    mmap_store = build_store()
-    mmap_store.save(MMAP_STORE_DIR, layout="mmap")
+    build_store().save(MMAP_STORE_DIR)
     print(f"wrote {MMAP_STORE_DIR}")
-    if args.which == "mmap":
-        return
-
-    store = build_store()
-    store.save(STORE_DIR, layout="npz")
-    expected = {
-        "ranges": RANGES,
-        "positions": CDF_POSITIONS,
-        "levels": QUANTILE_LEVELS,
-        "phi": HEAVY_PHI,
-        "answers": record_answers(QueryEngine(store)),
-        "summary": store.summary(),
-    }
-    with open(EXPECTED_PATH, "w", encoding="utf-8") as handle:
-        json.dump(expected, handle, indent=1)
-    print(f"wrote {STORE_DIR} and {EXPECTED_PATH}")
-
-    router = build_router()
-    router.save(SHARDED_STORE_DIR, layout="npz")
-    sharded_expected = {
-        "ranges": RANGES,
-        "positions": CDF_POSITIONS,
-        "levels": QUANTILE_LEVELS,
-        "phi": HEAVY_PHI,
-        "num_shards": NUM_SHARDS,
-        "shard_map": router.shard_map.assignments(),
-        "answers": record_answers(router),
-        "summary": router.summary(),
-    }
-    with open(SHARDED_EXPECTED_PATH, "w", encoding="utf-8") as handle:
-        json.dump(sharded_expected, handle, indent=1)
-    print(f"wrote {SHARDED_STORE_DIR} and {SHARDED_EXPECTED_PATH}")
 
 
 if __name__ == "__main__":

@@ -24,9 +24,12 @@ from __future__ import annotations
 
 import io
 import itertools
+import json
 import re
+import shutil
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +68,8 @@ from repro.serve.persistence import (
     save_sharded,
 )
 from repro.serve.cli import serve_main
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 # --------------------------------------------------------------------- #
 # Helpers
@@ -815,15 +820,44 @@ class TestCohortPersistence:
         assert value == member_wise
 
     def test_npz_layout_keeps_schema_with_additive_cohorts(self, tmp_path):
-        named = fleet_signals(3, seed=4)
-        store = SynopsisStore()
-        store.register_many(named, BuildBudget(max_bytes=400), cohort="fleet")
-        store.save(tmp_path / "npz", layout="npz")
-        manifest = read_manifest(tmp_path / "npz")
-        assert manifest["schema"] == 3  # npz stays additive
-        assert manifest["cohorts"] == {"fleet": [n for n, _ in named]}
-        loaded = load_store(tmp_path / "npz")
-        assert loaded.cohorts() == {"fleet": tuple(n for n, _ in named)}
+        # Cohorts were an additive key in the schema-3 npz layout: a copy
+        # of the frozen golden given one loads it.
+        path = tmp_path / "npz"
+        shutil.copytree(FIXTURES / "golden_store", path)
+        members = ["merging", "wavelet", "exact"]
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["cohorts"] = {"fleet": members}
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        manifest = read_manifest(path)
+        assert manifest["schema"] == 3
+        assert manifest["cohorts"] == {"fleet": members}
+        loaded = load_store(path)
+        assert loaded.cohorts() == {"fleet": tuple(members)}
+
+    @pytest.mark.parametrize("num_shards", [3, 1])
+    def test_reshard_keeps_router_cohorts(self, tmp_path, num_shards):
+        router = ShardRouter(num_shards=2)
+        named = fleet_signals(4, seed=10)
+        router.register_many(named, BuildBudget(max_bytes=400))
+        router.define_cohort("all", [name for name, _ in named])
+        a, b = np.array([0, 3, 20]), np.array([5, 47, 20])
+        want_sum = router.group_range_sum("all", a, b)
+        want_top = router.group_top_k("all", 3)
+
+        new = router.reshard(num_shards)
+        assert new.cohorts() == router.cohorts()
+        assert not new._cohort_tables  # built afresh on first query
+        got_sum = new.group_range_sum("all", a, b)
+        assert got_sum[0].tobytes() == want_sum[0].tobytes()
+        assert got_sum[1] == want_sum[1]
+        assert new.group_top_k("all", 3) == want_top
+
+        new.save(tmp_path / "resharded")
+        loaded = ShardRouter.load(tmp_path / "resharded")
+        assert loaded.cohorts() == router.cohorts()
+        got_sum = loaded.group_range_sum("all", a, b)
+        assert got_sum[0].tobytes() == want_sum[0].tobytes()
+        assert got_sum[1] == want_sum[1]
 
     def test_sharded_cohorts_round_trip(self, tmp_path):
         router = ShardRouter(num_shards=3)

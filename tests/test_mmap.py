@@ -7,6 +7,7 @@ mmap path: cold first queries without any npz decompression, selective
 corruption detection, and the checked-in schema-4 golden fixture.
 """
 
+import json
 import shutil
 import tempfile
 from pathlib import Path
@@ -24,7 +25,7 @@ from repro import (
     synopsis_to_dict,
 )
 from repro.__main__ import main
-from repro.serve import mmap_store
+from repro.serve import mmap_store, persistence
 from repro.serve.mmap_store import (
     ALIGNMENT,
     HEADER_SIZE,
@@ -40,7 +41,6 @@ from repro.serve.persistence import (
     MMAP_SCHEMA_VERSION,
     STORE_SCHEMA_VERSION,
     _read_payload,
-    _write_payload,
     iter_manifest_entries,
     read_manifest,
 )
@@ -97,7 +97,14 @@ class TestCodecParity:
     def test_raw_codec_matches_npz_codec_bitwise(self, obj):
         payload = synopsis_to_dict(obj)
         with tempfile.TemporaryDirectory() as tmp:
-            _write_payload(Path(tmp) / "p.npz", payload)
+            # The reference: the schema-3 npz encoding older saves wrote,
+            # read back through the frozen npz reader.
+            skeleton, arrays = flatten_payload(payload)
+            np.savez_compressed(
+                Path(tmp) / "p.npz",
+                **arrays,
+                __skeleton__=np.asarray(json.dumps(skeleton)),
+            )
             npz_payload = _read_payload(Path(tmp) / "p.npz")
             raw_payload, _ = raw_roundtrip(payload, tmp)
             # Both codecs must reconstruct the same bytes — the mmap
@@ -216,9 +223,10 @@ class TestMmapPersistence:
                 engine.range_sum(name, a, b), cloned.range_sum(name, a, b)
             )
 
-    def test_segment_size_splits_segments(self, tmp_path):
+    def test_segment_size_splits_segments(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(persistence, "SEGMENT_SIZE", 1)
         path = tmp_path / "store"
-        build_small_store().save(path, segment_size=1)
+        build_small_store().save(path)
         manifest = read_manifest(path)
         assert len(manifest["segments"]) == 2
         assert [seg["count"] for seg in manifest["segments"]] == [1, 1]
@@ -226,12 +234,13 @@ class TestMmapPersistence:
         assert [r["name"] for r in records] == ["a", "b"]
         assert records[0]["segment"] != records[1]["segment"]
 
-    def test_selective_load_skips_other_segments(self, tmp_path):
+    def test_selective_load_skips_other_segments(self, tmp_path, monkeypatch):
         # With one entry per segment, a names= load must not even stat
         # the other segment — proven by deleting it outright.
+        monkeypatch.setattr(persistence, "SEGMENT_SIZE", 1)
         path = tmp_path / "store"
         store = build_small_store()
-        store.save(path, segment_size=1)
+        store.save(path)
         manifest = read_manifest(path)
         other = next(
             seg for seg in manifest["segments"] if seg["names"] == ["b"]
@@ -301,8 +310,6 @@ class TestMmapPersistence:
 class TestGoldenMmapFixture:
     @pytest.fixture(scope="class")
     def golden(self):
-        import json
-
         with open(FIXTURES / "golden_expected.json", encoding="utf-8") as handle:
             expected = json.load(handle)
         store = SynopsisStore.load(FIXTURES / "golden_mmap_store")
@@ -312,7 +319,7 @@ class TestGoldenMmapFixture:
         manifest = read_manifest(FIXTURES / "golden_mmap_store")
         assert manifest["schema"] == MMAP_SCHEMA_VERSION, (
             "mmap schema version bumped: regenerate the fixture with "
-            "tests/fixtures/make_golden_store.py --which mmap"
+            "tests/fixtures/make_golden_store.py"
         )
         assert manifest["layout"] == "mmap"
 

@@ -34,11 +34,7 @@ from repro import (
 )
 from repro.__main__ import main
 from repro.serve.engine import PrefixTable
-from repro.serve.persistence import (
-    NPZ_SCHEMA_VERSION,
-    STORE_SCHEMA_VERSION,
-    read_manifest,
-)
+from repro.serve.persistence import STORE_SCHEMA_VERSION, read_manifest
 
 from helpers import (
     histograms,
@@ -481,12 +477,12 @@ class TestGoldenFixture:
         return store, expected
 
     def test_schema_version_matches(self):
-        # The npz golden fixture is pinned at the legacy schema; the
-        # schema-4 mmap golden lives in test_mmap.py.
+        # The npz golden fixture is frozen at the legacy schema 3 (nothing
+        # writes that layout any more); the schema-4 mmap golden lives in
+        # test_mmap.py.
         manifest = read_manifest(FIXTURES / "golden_store")
-        assert manifest["schema"] == NPZ_SCHEMA_VERSION, (
-            "npz schema version bumped: regenerate the golden fixture with "
-            "tests/fixtures/make_golden_store.py and commit both files"
+        assert manifest["schema"] == 3, (
+            "the frozen npz golden fixture changed: restore it from git"
         )
 
     def test_summary_matches(self, golden):
@@ -545,15 +541,34 @@ class TestGoldenFixture:
 
 @pytest.fixture
 def saved_store(tmp_path):
-    # Saved in the legacy npz layout: this class exercises the npz compat
-    # reader's corruption handling (the mmap layout's is in test_mmap.py).
-    values = small_signal(120, seed=9)
-    store = SynopsisStore()
-    store.register("a", values, family="merging", k=4)
-    store.register("b", values, family="wavelet", k=4)
+    """A copy of the frozen schema-3 golden store, plus the golden itself
+    loaded as the reference.
+
+    This class exercises the npz reader's corruption handling (the mmap
+    layout's is in test_mmap.py).  In the copy, ``merging`` is
+    ``entry-0000.npz`` and ``wavelet`` is ``entry-0001.npz``; ``exact``
+    (``entry-0003.npz``) is a second histogram-kind payload.
+    """
     path = tmp_path / "store"
-    store.save(path, layout="npz")
-    return store, path
+    shutil.copytree(FIXTURES / "golden_store", path)
+    return load_store(FIXTURES / "golden_store"), path
+
+
+def restamp_store_uid(path):
+    """Give an npz store's manifest and payloads a fresh ``store_uid``:
+    on disk, exactly what a later save of the same entries leaves."""
+    uid = "0" * 32
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["store_uid"] = uid
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    for record in manifest["entries"]:
+        payload = path / record["payload"]
+        with np.load(payload) as npz:
+            arrays = {key: npz[key] for key in npz.files}
+        skeleton = json.loads(str(arrays["__skeleton__"][()]))
+        skeleton["store_uid"] = uid
+        arrays["__skeleton__"] = np.asarray(json.dumps(skeleton))
+        np.savez_compressed(payload, **arrays)
 
 
 class TestCorruption:
@@ -594,11 +609,17 @@ class TestCorruption:
         """A pre-windowed manifest (schema 2, no windowed fields) must load."""
         store, path = saved_store
         manifest = json.loads((path / "manifest.json").read_text())
+        manifest["entries"] = [
+            r for r in manifest["entries"] if not r.get("windowed")
+        ]
         assert all("windowed" not in r for r in manifest["entries"])
         manifest["schema"] = 2
         (path / "manifest.json").write_text(json.dumps(manifest))
         loaded = load_store(path)
-        assert summary_metadata(loaded) == summary_metadata(store)
+        kept = {r["name"] for r in manifest["entries"]}
+        assert summary_metadata(loaded) == [
+            row for row in summary_metadata(store) if row["name"] in kept
+        ]
 
     def test_mismatched_payload_content(self, saved_store):
         # Swap the two entries' payload files: manifest and payload disagree.
@@ -608,7 +629,7 @@ class TestCorruption:
         a.rename(tmp), b.rename(a), tmp.rename(b)
         loaded = load_store(path)  # both files are valid npz: lazy load passes
         with pytest.raises(StoreCorruptionError):
-            QueryEngine(loaded).range_sum("a", 0, 10)
+            QueryEngine(loaded).range_sum("merging", 0, 10)
 
     def test_corrupt_entry_raises_again_not_half_hydrated(self, saved_store):
         _, path = saved_store
@@ -620,8 +641,8 @@ class TestCorruption:
         engine = QueryEngine(loaded)
         for _ in range(2):  # same clear error every time, never half-hydrated
             with pytest.raises(StoreCorruptionError, match="entry payload"):
-                engine.range_sum("a", 0, 10)
-        assert not loaded["a"].is_hydrated
+                engine.range_sum("merging", 0, 10)
+        assert not loaded["merging"].is_hydrated
 
     def test_missing_array_in_payload(self, saved_store):
         # Zip-valid npz whose skeleton references an array that is gone:
@@ -647,7 +668,7 @@ class TestCorruption:
         arrays["__skeleton__"] = np.asarray(json.dumps({"synopsis": {"kind": "bad"}}))
         np.savez_compressed(path / "entry-0000.npz", **arrays)
         out = io.StringIO()
-        commands = io.StringIO("range a 0 10\nrange b 0 10\nquit\n")
+        commands = io.StringIO("range merging 0 10\nrange wavelet 0 10\nquit\n")
         assert serve_main(
             ["--store-dir", str(path)], stdin=commands, stdout=out
         ) == 0
@@ -668,7 +689,7 @@ class TestCorruption:
             load_store(path)
 
         bad = json.loads(json.dumps(good))
-        bad["last_versions"] = {"a": "newest"}
+        bad["last_versions"] = {"merging": "newest"}
         (path / "manifest.json").write_text(json.dumps(bad))
         with pytest.raises(StoreCorruptionError, match="invalid last_versions"):
             load_store(path)
@@ -688,8 +709,11 @@ class TestCorruption:
         _, path = saved_store
         loaded = load_store(path)
         with pytest.raises(ValueError, match="unhydrated"):
-            loaded["a"].result.to_dict()
-        assert loaded["a"].result.to_dict(include_synopsis=False)["family"] == "merging"
+            loaded["merging"].result.to_dict()
+        assert (
+            loaded["merging"].result.to_dict(include_synopsis=False)["family"]
+            == "merging"
+        )
 
     def test_bitflipped_payload_is_corruption(self, saved_store):
         # A bit-flip inside the deflate stream keeps zipfile.is_zipfile
@@ -714,21 +738,16 @@ class TestCorruption:
         assert type(MyStore.load(path)) is MyStore
         assert type(SynopsisStore.load(path)) is SynopsisStore
 
-    def test_swapped_same_family_payloads_detected(self, tmp_path):
-        # Two same-family same-n entries whose payload files are swapped on
+    def test_swapped_same_family_payloads_detected(self, saved_store):
+        # Two same-kind same-n entries whose payload files are swapped on
         # disk must fail hydration, not serve crossed data (regression).
-        values = small_signal(100, seed=4)
-        store = SynopsisStore()
-        store.register("a", values, family="merging", k=3)
-        store.register("b", 2.0 * values, family="merging", k=3)
-        path = tmp_path / "store"
-        store.save(path, layout="npz")
-        a, b = path / "entry-0000.npz", path / "entry-0001.npz"
+        _, path = saved_store
+        a, b = path / "entry-0000.npz", path / "entry-0003.npz"
         tmp = path / "swap.npz"
         a.rename(tmp), b.rename(a), tmp.rename(b)
         loaded = load_store(path)
         with pytest.raises(StoreCorruptionError, match="swapped"):
-            QueryEngine(loaded).range_sum("a", 0, 10)
+            QueryEngine(loaded).range_sum("merging", 0, 10)
 
     def test_inspect_rotted_record_errors_cleanly(self, saved_store, capsys):
         _, path = saved_store
@@ -741,14 +760,14 @@ class TestCorruption:
     def test_replaced_directory_detected_at_hydration(self, saved_store):
         # A lazy reader must not silently serve payloads from a *newer*
         # save of the same directory under the old metadata (regression).
-        store, path = saved_store
+        _, path = saved_store
         loaded = SynopsisStore.load(path)  # lazy: nothing hydrated yet
-        store.save(path, layout="npz")  # same entries, different generation
+        restamp_store_uid(path)  # same entries, different generation
         engine = QueryEngine(loaded)
         with pytest.raises(StoreCorruptionError, match="different\n?.*save"):
-            engine.range_sum("a", 0, 10)
+            engine.range_sum("merging", 0, 10)
         # A fresh load of the replaced directory works, of course.
-        assert QueryEngine(SynopsisStore.load(path)).range_sum("a", 0, 10)
+        assert QueryEngine(SynopsisStore.load(path)).range_sum("merging", 0, 10)
 
     def test_missing_store(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no synopsis store"):
@@ -777,7 +796,7 @@ class TestCorruption:
             replacement.save(path)
         monkeypatch.undo()
         again = load_store(path)  # the old store is untouched
-        assert set(again.names()) == {"a", "b"}
+        assert set(again.names()) == set(store.names())
         assert summary_metadata(again) == summary_metadata(store)
         leftovers = [p.name for p in path.parent.iterdir() if "tmp" in p.name]
         assert leftovers == []  # no temp directories left behind

@@ -12,6 +12,8 @@ a reloaded store reproduces its plans without rebuilding candidates).
 
 import asyncio
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +43,8 @@ from repro.serve.frontend import AsyncServingFrontend, QueryRequest
 from repro.serve.planner import BYTES_PER_NUMBER, default_k_grid
 
 from helpers import positive_dense_arrays, summary_metadata
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 # A small family set keeps property tests fast while spanning all tiers.
 FAMILIES = ("merging", "wavelet", "exact_dp")
@@ -572,9 +576,9 @@ class TestPlanPersistence:
         its build_ms must not TypeError out of describe()/explain() (and
         through it the serve REPL's ``plan`` command)."""
         store = self.build_store()
-        # npz layout: these tests rot the inline manifest records
-        store.save(tmp_path / "store", layout="npz")
-        manifest_path = tmp_path / "store" / "manifest.json"
+        store.save(tmp_path / "store")
+        # These tests rot the entry records of the store's one segment.
+        manifest_path = tmp_path / "store" / "segment-0000.json"
         manifest = json.loads(manifest_path.read_text())
         record = next(r for r in manifest["entries"] if r.get("plan"))
         chosen = record["plan"]["candidates"][record["plan"]["chosen_index"]]
@@ -590,9 +594,9 @@ class TestPlanPersistence:
         from repro import StoreCorruptionError, load_store
 
         store = self.build_store()
-        # npz layout: these tests rot the inline manifest records
-        store.save(tmp_path / "store", layout="npz")
-        manifest_path = tmp_path / "store" / "manifest.json"
+        store.save(tmp_path / "store")
+        # These tests rot the entry records of the store's one segment.
+        manifest_path = tmp_path / "store" / "segment-0000.json"
         manifest = json.loads(manifest_path.read_text())
         record = next(
             r for r in manifest["entries"] if r.get("plan") is not None
@@ -606,18 +610,26 @@ class TestPlanPersistence:
         """A pre-planner manifest (schema 1, no plan fields) must load."""
         from repro import load_store
 
-        store = SynopsisStore()
-        store.register("a", steps_signal(128), family="merging", k=4)
-        # npz layout: these tests rot the inline manifest records
-        store.save(tmp_path / "store", layout="npz")
+        # A copy of the frozen schema-3 golden, cut back to the entries a
+        # schema-1 store could hold (no planned, no windowed entries).
+        shutil.copytree(FIXTURES / "golden_store", tmp_path / "store")
         manifest_path = tmp_path / "store" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
+        manifest["entries"] = [
+            r
+            for r in manifest["entries"]
+            if "plan" not in r and not r.get("windowed")
+        ]
         assert all("plan" not in r for r in manifest["entries"])
         manifest["schema"] = 1
         manifest_path.write_text(json.dumps(manifest))
         loaded = load_store(tmp_path / "store")
+        store = load_store(
+            FIXTURES / "golden_store",
+            names=[r["name"] for r in manifest["entries"]],
+        )
         assert summary_metadata(loaded) == summary_metadata(store)
-        assert loaded["a"].plan is None
+        assert loaded["merging"].plan is None
 
 
 # --------------------------------------------------------------------- #
@@ -668,9 +680,9 @@ class TestInspectSorting:
 
         store = SynopsisStore()
         store.register("a", steps_signal(64), family="merging", k=2)
-        # npz layout: the rotted record lives inline in manifest.json
-        store.save(tmp_path / "store", layout="npz")
-        manifest_path = tmp_path / "store" / "manifest.json"
+        store.save(tmp_path / "store")
+        # The rotted record lives in the store's one segment manifest.
+        manifest_path = tmp_path / "store" / "segment-0000.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["entries"][0]["result"]["error"] = "bogus"
         manifest_path.write_text(json.dumps(manifest))

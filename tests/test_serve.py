@@ -25,6 +25,8 @@ from repro.__main__ import main
 from repro.core.integral import PiecewisePrefix
 from repro.serve.engine import PrefixTable
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
 
 def random_distribution(n: int, seed: int = 7) -> np.ndarray:
     """A positive random signal normalized to unit mass."""
@@ -645,21 +647,27 @@ class TestInnerProduct:
         assert results[0].version == router["a"].version
 
 
-def _serve_subprocess(unbuffered: bool) -> subprocess.Popen:
-    """``python -m repro serve`` over one merging synopsis, every pipe open."""
+def _repro_subprocess(argv, unbuffered: bool) -> subprocess.Popen:
+    """``python -m repro <argv>``, every pipe open."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--n", "256", "--k", "4",
-         "--families", "merging"],
+        [sys.executable, "-m", "repro", *argv],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
         env=env,
+    )
+
+
+def _serve_subprocess(unbuffered: bool) -> subprocess.Popen:
+    """``python -m repro serve`` over one merging synopsis, every pipe open."""
+    return _repro_subprocess(
+        ["serve", "--n", "256", "--k", "4", "--families", "merging"], unbuffered
     )
 
 
@@ -752,6 +760,30 @@ class TestServeCLI:
         assert stderr == ""
         store = SynopsisStore.load(target, lazy=False)
         assert store.names() == ["merging"]
+
+    @pytest.mark.parametrize(
+        "unbuffered, lines_read",
+        [
+            (True, 1),  # ``| grep -q``: leaves after the first line
+            (True, 0),  # leaves before the first print
+            (False, 0),  # block-buffered: only the exit flush writes
+        ],
+    )
+    def test_inspect_exits_quietly_when_reader_closes(self, unbuffered, lines_read):
+        # Every subcommand, not just serve, must end quietly with status 0
+        # when the reader of its output goes away early.
+        golden = FIXTURES / "golden_sharded_store"
+        proc = _repro_subprocess(["inspect", str(golden)], unbuffered)
+        try:
+            for _ in range(lines_read):
+                assert "schema=2 shards=2" in proc.stdout.readline()
+            proc.stdout.close()
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 0, stderr
+        assert stderr == ""
 
     def test_unknown_command_still_errors(self, capsys):
         assert main(["bogus"]) == 2

@@ -848,8 +848,7 @@ class TestGoldenShardedFixture:
         # persist a cohorts table).
         manifest = read_sharded_manifest(FIXTURES / "golden_sharded_store")
         assert manifest["schema"] == SHARDED_SCHEMA_VERSION - 1 == 2, (
-            "sharded schema version bumped: regenerate the golden fixtures "
-            "with tests/fixtures/make_golden_store.py and commit them"
+            "the frozen sharded golden fixture changed: restore it from git"
         )
 
     def test_shard_map_matches(self, golden):
