@@ -15,9 +15,10 @@ step signal:
   planning lands near 1x its solo cost; the same 3x gate applies.
 
 Each run also records its measurements into ``BENCH_plan.json`` at the
-repo root — the performance-trajectory file: committing the refreshed
-numbers alongside planner changes turns the git history of that file
-into the perf record.
+repo root, with the core count it ran on and every gate marked as run
+and passed or failed — the performance-trajectory file: committing the
+refreshed numbers alongside planner changes turns the git history of
+that file into the perf record.
 
 Run directly (``python benchmarks/bench_plan.py``) for the table, or via
 pytest (the CI bench-smoke job runs it with ``--benchmark-disable``).
@@ -26,6 +27,7 @@ pytest (the CI bench-smoke job runs it with ``--benchmark-disable``).
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -122,11 +124,42 @@ def _run_scenario(name: str, data: np.ndarray, budget: BuildBudget) -> dict:
     }
 
 
+def _gates(rows: list) -> list:
+    """Every gate of the file, marked as run and as passed or failed."""
+    gates = [
+        {
+            "gate": f"{row['scenario']}: planning <= {OVERHEAD_GATE}x winner build",
+            "ran": True,
+            "passed": row["overhead_x"] <= OVERHEAD_GATE,
+        }
+        for row in rows
+    ]
+    scenarios = {row["scenario"]: row for row in rows}
+    probe, escalation = scenarios["probe-win"], scenarios["escalation"]
+    gates.append(
+        {
+            "gate": "probe-win: a merging probe wins, expensive tiers pruned",
+            "ran": True,
+            "passed": probe["chosen"].startswith("merging")
+            and probe["built"] < probe["candidates"],
+        }
+    )
+    gates.append(
+        {
+            "gate": "escalation: reaches the exact DP",
+            "ran": True,
+            "passed": escalation["chosen"].startswith("exact_dp"),
+        }
+    )
+    return gates
+
+
 def _record(rows: list) -> None:
     """Refresh the perf-trajectory file with this run's measurements."""
     payload = {
         "benchmark": "bench_plan",
-        "gate": f"planning <= {OVERHEAD_GATE}x winner build",
+        "cpus": os.cpu_count(),
+        "gates": _gates(rows),
         "runs": rows,
     }
     RESULTS_PATH.write_text(json.dumps(payload, indent=1) + "\n")
@@ -182,6 +215,8 @@ def test_escalation_reaches_the_dp(comparison_rows):
 def test_results_file_written(comparison_rows):
     payload = json.loads(RESULTS_PATH.read_text())
     assert payload["benchmark"] == "bench_plan"
+    assert payload["cpus"] == os.cpu_count()
+    assert all(gate["ran"] for gate in payload["gates"])
     assert {r["scenario"] for r in payload["runs"]} == {
         "probe-win",
         "escalation",

@@ -19,7 +19,8 @@ on top of it:
   unwindowed dict loop.  Typical: ~3.5x.
 
 Each run records its measurements into ``BENCH_window.json`` at the repo
-root — the performance-trajectory file for the ingest path.
+root, with the core count it ran on and every gate marked as run and
+passed or failed — the performance-trajectory file for the ingest path.
 
 Run directly (``python benchmarks/bench_window.py``) for the table, or
 via pytest (the CI bench-smoke job runs it with ``--benchmark-disable``).
@@ -28,6 +29,7 @@ via pytest (the CI bench-smoke job runs it with ``--benchmark-disable``).
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -149,21 +151,25 @@ def run_comparison(verbose: bool = True) -> dict:
         "samples_per_sec_vectorized": BATCH / dense_time,
         "samples_per_sec_windowed": BATCH / windowed_time,
     }
-    RESULTS_PATH.write_text(
-        json.dumps(
-            {
-                "benchmark": "bench_window",
-                "gates": {
-                    "vectorized_extend": f">= {VECTORIZED_GATE}x dict loop",
-                    "sparse_merge": f">= {SPARSE_GATE}x dict loop",
-                    "windowed_ingest": f">= {WINDOWED_GATE}x dict loop",
-                },
-                "run": rows,
-            },
-            indent=1,
+    gates = [
+        {
+            "gate": f"{leg} >= {gate}x dict loop",
+            "ran": True,
+            "passed": rows[f"{key}_x"] >= gate,
+        }
+        for leg, key, gate in (
+            ("vectorized_extend", "vectorized", VECTORIZED_GATE),
+            ("sparse_merge", "sparse_merge", SPARSE_GATE),
+            ("windowed_ingest", "windowed", WINDOWED_GATE),
         )
-        + "\n"
-    )
+    ]
+    payload = {
+        "benchmark": "bench_window",
+        "cpus": os.cpu_count(),
+        "gates": gates,
+        "run": rows,
+    }
+    RESULTS_PATH.write_text(json.dumps(payload, indent=1) + "\n")
     if verbose:
         print(
             f"\ningest of one {BATCH:,}-sample batch, universe {UNIVERSE:,} "
@@ -226,7 +232,9 @@ def test_windowed_ingest_at_least_2x_dict_loop(comparison_rows):
 def test_results_file_written(comparison_rows):
     payload = json.loads(RESULTS_PATH.read_text())
     assert payload["benchmark"] == "bench_window"
+    assert payload["cpus"] == os.cpu_count()
     assert payload["run"]["vectorized_x"] == comparison_rows["vectorized_x"]
+    assert all(gate["ran"] for gate in payload["gates"])
 
 
 if __name__ == "__main__":

@@ -26,6 +26,10 @@ into a queryable system:
   ``quantile`` / ``top_k_buckets`` evaluation over the store, backed by
   an LRU cache of :class:`PrefixTable` prefix-integral tables (per-entry
   hit/miss accounting, thread-safe).
+* :mod:`repro.serve.cohorts` — the one cohort registry a store and a
+  router each hold: ordered, validated member lists, one cached
+  :class:`CohortTable` per named cohort keyed by the members' version
+  vector, and the manifest's ``"cohorts"`` table.
 * :mod:`repro.serve.router` — :class:`ShardRouter`, name-sharded serving
   over N concurrent store/engine pairs with an explicit, persisted
   :class:`ShardMap` (resharding is a deliberate migration).
@@ -45,7 +49,9 @@ Fleet-scale cohorts: :meth:`SynopsisStore.register_many` /
 amortized :func:`plan_cohort` plan, optionally naming the batch as a
 *cohort* the group-by query kinds (``group_range_sum`` /
 ``group_range_mean`` / ``group_top_k``) answer exactly in one call,
-through one :class:`CohortTable` that stacks the members' tables.
+through one :class:`CohortTable` that stacks the members' tables.  The
+engine and the router share one group path: a warm query on a named
+cohort reuses its cached table and builds none.
 """
 
 from .builders import (
@@ -63,13 +69,8 @@ from .builders import (
     synopsis_size,
     synopsis_to_dict,
 )
-from .engine import (
-    GROUP_QUERY_KINDS,
-    CacheStats,
-    CohortTable,
-    PrefixTable,
-    QueryEngine,
-)
+from .cohorts import CohortTable
+from .engine import GROUP_QUERY_KINDS, CacheStats, PrefixTable, QueryEngine
 from .frontend import AsyncServingFrontend, QueryRequest, QueryResult
 from .planner import (
     BudgetInfeasibleError,

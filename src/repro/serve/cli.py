@@ -316,10 +316,7 @@ def _save_router(router: ShardRouter, target: str) -> None:
         # the router surface) live above the store; sync them down so the
         # plain-layout manifest keeps them across the round trip.
         store = router.shards[0].store
-        names = set(store.names())
-        for cohort, members in router.cohorts().items():
-            if all(member in names for member in members):
-                store.define_cohort(cohort, members)
+        store._cohorts.adopt(router.cohorts(), store)
         store.save(target)
     else:
         router.save(target)

@@ -14,12 +14,11 @@ of B Python-level synopsis evaluations.
 cache keyed by ``(entry name, entry version)`` so a streaming refresh
 invalidates exactly the entry that changed.
 
-:class:`CohortTable` answers the group-by kinds over a member set: it
-concatenates the members' tables, evaluates every (member, point) pair
-with one ``searchsorted``, and sums the member rows in member order, so a
-group answer equals the member-wise reduction byte for byte.  The engine
-builds one per group query; :class:`~repro.serve.router.ShardRouter`
-caches one per named cohort, keyed by the members' version vector.
+The group-by kinds go through the store's
+:class:`~repro.serve.cohorts.CohortRegistry`, the registry a
+:class:`~repro.serve.router.ShardRouter` holds too: a named cohort's
+stacked :class:`~repro.serve.cohorts.CohortTable` is cached, keyed by the
+members' version vector, so a warm group query builds no table.
 
 The engine is thread-safe: cache bookkeeping runs under an internal lock
 and every table lookup goes through the store's atomic
@@ -34,7 +33,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -49,7 +48,6 @@ from .store import SynopsisStore
 
 __all__ = [
     "CacheStats",
-    "CohortTable",
     "GROUP_QUERY_KINDS",
     "PrefixTable",
     "QueryEngine",
@@ -61,14 +59,9 @@ ArrayLike = Union[int, float, np.ndarray]
 #: of one.  They ride the mergeable-summaries property: prefix integrals
 #: sum exactly across members, so the group answer equals the member-wise
 #: sum/merge with no approximation beyond each member's own synopsis.
-#: :class:`CohortTable` is their one evaluator: it stacks the members'
-#: tables and reduces the member rows in member order.
+#: :class:`~repro.serve.cohorts.CohortTable` is their one evaluator: it
+#: stacks the members' tables and reduces the member rows in member order.
 GROUP_QUERY_KINDS = ("group_range_sum", "group_range_mean", "group_top_k")
-
-#: (member, point) pairs a :class:`CohortTable` evaluates per vectorized
-#: pass, so each temporary of a pass stays near 64 KB however large the
-#: cohort or the batch.
-_PAIRS_PER_PASS = 8192
 
 
 class PrefixTable:
@@ -290,183 +283,6 @@ class PrefixTable:
             )
         xs = np.arange(self.n, dtype=np.int64)
         return float(np.dot(self.point_mass(xs), other.point_mass(xs)))
-
-
-# --------------------------------------------------------------------- #
-# Group-by evaluation (shared by QueryEngine and ShardRouter)
-# --------------------------------------------------------------------- #
-
-
-class CohortTable:
-    """The members' prefix tables stacked into one vectorized evaluator.
-
-    Every member's :class:`PiecewisePrefix` arrays (piece lefts, lengths,
-    coefficient rows and boundary masses) are concatenated, with member
-    ``j``'s lefts shifted by a per-member offset so one ``searchsorted``
-    over the stacked keys locates every (member, point) pair at once.
-    The evaluation then runs the same elementwise arithmetic as
-    :meth:`PiecewisePrefix.integral`, so each member row is bitwise equal
-    to that member's own :meth:`PrefixTable.range_sum`.
-
-    The member rows are reduced by an explicit loop in member order:
-    ``np.add.reduce`` over the member axis sums a one-range batch
-    pairwise, which differs in the last bit from the sequential sum a
-    caller adding the member answers would get.  Group answers therefore
-    equal that member-order reduction byte for byte.
-
-    The table is immutable; :class:`~repro.serve.router.ShardRouter`
-    caches one per named cohort, keyed by the members' version vector.
-    """
-
-    __slots__ = (
-        "_ns",
-        "_domains",
-        "_offsets",
-        "_keys",
-        "_lefts",
-        "_lengths",
-        "_coeffs",
-        "_base",
-        "_widths",
-        "_ranking",
-    )
-
-    def __init__(self, tables: Sequence[PrefixTable]) -> None:
-        if not tables:
-            raise ValueError("group queries need at least one member")
-        prefixes = [table.prefix for table in tables]
-        self._ns = np.array([prefix.n for prefix in prefixes], dtype=np.int64)
-        # Distinct domain lengths in first-member order: a range is checked
-        # once per length, so the first member it fails on names the error.
-        self._domains = list(dict.fromkeys(self._ns.tolist()))
-        # Member j's query x in [0, n_j] becomes the key offsets[j] + x,
-        # which sorts after every key of members before j and before every
-        # key of members after it (lefts start at 0 and stay below n_j).
-        self._offsets = np.concatenate(([0], np.cumsum(self._ns + 1)[:-1]))
-        counts = [prefix.num_pieces for prefix in prefixes]
-        self._lefts = np.concatenate([prefix.lefts for prefix in prefixes])
-        self._keys = self._lefts + np.repeat(self._offsets, counts)
-        self._lengths = np.concatenate([prefix.lengths for prefix in prefixes])
-        self._base = np.concatenate([prefix.boundary[:-1] for prefix in prefixes])
-        widths = np.array(
-            [prefix.coeffs.shape[1] for prefix in prefixes], dtype=np.int64
-        )
-        # One row per coefficient power (so each Horner step gathers one
-        # contiguous row), zero-padded above a narrower member's degree.
-        coeffs = np.zeros((int(widths.max()), self._lefts.size))
-        start = 0
-        for prefix, count in zip(prefixes, counts):
-            coeffs[: prefix.coeffs.shape[1], start : start + count] = (
-                prefix.coeffs.T
-            )
-            start += count
-        self._coeffs = coeffs
-        # Mixed widths need the per-member start of Horner's recurrence.
-        self._widths = widths[:, None] if np.any(widths != widths[0]) else None
-        # (lefts, rights, masses, order) of the merged partition, set by
-        # the first top_k call.
-        self._ranking: Optional[Tuple[np.ndarray, ...]] = None
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the stacked arrays."""
-        return sum(
-            array.nbytes
-            for array in (
-                self._ns,
-                self._offsets,
-                self._keys,
-                self._lefts,
-                self._lengths,
-                self._coeffs,
-                self._base,
-            )
-        )
-
-    def _integrals(self, xs: np.ndarray, members: slice) -> np.ndarray:
-        """``F_j(x)`` for members ``j`` in ``members`` (rows) and points
-        ``x`` (columns); ``xs`` is 1-D int64 inside every ``[0, n_j]``."""
-        keys = self._offsets[members, None] + xs
-        u = np.searchsorted(self._keys, keys, side="right") - 1
-        s = 2.0 * (xs - self._lefts[u]) / self._lengths[u] - 1.0
-        coeffs = self._coeffs
-        top = coeffs.shape[0] - 1
-        out = coeffs[top][u]
-        for power in range(top - 1, -1, -1):
-            row = coeffs[power][u]
-            step = out * s + row
-            if self._widths is not None:
-                # A member whose own top power is at or below this one
-                # starts its recurrence here, as its own table would.
-                step = np.where(self._widths[members] > power + 1, step, row)
-            out = step
-        return self._base[u] + out
-
-    def _sum_members(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Every member's range sums over closed ``[left, right]`` (1-D
-        arrays), added one member row at a time in member order."""
-        points = np.concatenate((right + 1, left))
-        per_pass = max(1, _PAIRS_PER_PASS // max(points.size, 1))
-        total = None
-        for first in range(0, self._offsets.size, per_pass):
-            both = self._integrals(points, slice(first, first + per_pass))
-            for row in both[:, : left.size] - both[:, left.size :]:
-                total = row if total is None else total + row
-        return total
-
-    def range_sum(self, a: ArrayLike, b: ArrayLike) -> Union[float, np.ndarray]:
-        """``sum_{member} sum_{i in [a, b]} f_member(i)`` over closed ranges."""
-        aa = np.asarray(a, dtype=np.int64)
-        bb = np.asarray(b, dtype=np.int64)
-        for n in self._domains:
-            if np.any((aa < 0) | (bb >= n) | (aa > bb)):
-                raise ValueError(f"ranges must satisfy 0 <= a <= b < {n}")
-        aa, bb = np.broadcast_arrays(aa, bb)
-        total = self._sum_members(aa.ravel(), bb.ravel())
-        if np.ndim(a) == 0 and np.ndim(b) == 0:
-            return float(total[0])
-        return total.reshape(aa.shape)
-
-    def range_mean(self, a: ArrayLike, b: ArrayLike) -> Union[float, np.ndarray]:
-        """Mean of the *pooled* mass over ``[a, b]``: group sum / range length.
-
-        The denominator is the range length, not members x length: the
-        group is treated as one pooled series.
-        """
-        sums = self.range_sum(a, b)
-        lengths = np.asarray(b, dtype=np.int64) - np.asarray(a, dtype=np.int64) + 1
-        out = sums / lengths.astype(np.float64)
-        return float(out) if np.ndim(a) == 0 and np.ndim(b) == 0 else out
-
-    def top_k(self, m: int) -> List[Tuple[int, int, float]]:
-        """The ``m`` heaviest pieces of the group's merged partition.
-
-        The members' piece boundaries are merged (union of left
-        endpoints) and every member is summed exactly over each merged
-        segment, so the ``(left, right, mass)`` triples are the heaviest
-        segments of the pooled distribution, mass-descending.  Ties keep
-        partition order: the ranking is a stable argsort, computed once
-        per table (``argpartition`` would reorder ties).  All members must
-        share one domain length.
-        """
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
-        if len(self._domains) > 1:
-            raise ValueError(
-                f"group top-k needs matching domains, got n={self._domains[0]} "
-                f"and n={self._domains[1]}"
-            )
-        if self._ranking is None:
-            n = self._domains[0]
-            lefts = np.unique(self._lefts)
-            rights = np.append(lefts[1:] - 1, n - 1)
-            masses = self._sum_members(lefts, rights)
-            order = np.argsort(-masses, kind="stable")
-            self._ranking = (lefts, rights, masses, order)
-        lefts, rights, masses, order = self._ranking
-        return [
-            (int(lefts[u]), int(rights[u]), float(masses[u])) for u in order[:m]
-        ]
 
 
 class CacheStats:
@@ -837,59 +653,42 @@ class QueryEngine:
     # Group-by queries (cohorts over this engine's own store)
     # ------------------------------------------------------------------ #
 
-    def _cohort_table(self, names: Any) -> Tuple[CohortTable, Dict[str, int]]:
-        """A group query's stacked table and its ``{member: version}``.
-
-        ``names`` may be an explicit member list or a string spec the
-        store resolves (cohort name, comma list, or bare entry name) —
-        never iterated character-wise.  Each member goes through
-        :meth:`table_versioned`, so the table is assembled from
-        per-member *consistent* snapshots; the returned versions dict is
-        what callers report per answer.  The table lives for one query.
-        """
-        names = self.store.resolve_members(names)
-        if not names:
-            raise ValueError("group queries need at least one member")
-        tables: List[PrefixTable] = []
-        versions: Dict[str, int] = {}
-        for name in names:
-            version, table = self.table_versioned(name)
-            tables.append(table)
-            versions[name] = version
-        return CohortTable(tables), versions
+    def _group(
+        self, kind: str, names: Any, evaluate: Callable
+    ) -> Tuple[Any, Dict[str, int]]:
+        """Evaluate a group target's stacked table from the store's cohort
+        registry (cached for a named cohort); returns ``(value, {member:
+        version})``.  A string ``names`` is a spec the store resolves
+        (cohort name, comma list, or bare entry name), never iterated
+        character-wise."""
+        start = time.perf_counter()
+        try:
+            store = self.store
+            members = store.resolve_members(names)
+            table, versions = store._cohorts.table(
+                names, members, store.versions, self.table_versioned
+            )
+            return evaluate(table), versions
+        finally:
+            self._record(kind, start)
 
     def group_range_sum(
         self, names: List[str], a: ArrayLike, b: ArrayLike
     ) -> Tuple[Union[float, np.ndarray], Dict[str, int]]:
         """Pooled range sum over a member set; returns (value, versions)."""
-        start = time.perf_counter()
-        try:
-            table, versions = self._cohort_table(names)
-            return table.range_sum(a, b), versions
-        finally:
-            self._record("group_range_sum", start)
+        return self._group("group_range_sum", names, lambda t: t.range_sum(a, b))
 
     def group_range_mean(
         self, names: List[str], a: ArrayLike, b: ArrayLike
     ) -> Tuple[Union[float, np.ndarray], Dict[str, int]]:
         """Pooled range mean over a member set; returns (value, versions)."""
-        start = time.perf_counter()
-        try:
-            table, versions = self._cohort_table(names)
-            return table.range_mean(a, b), versions
-        finally:
-            self._record("group_range_mean", start)
+        return self._group("group_range_mean", names, lambda t: t.range_mean(a, b))
 
     def group_top_k(
         self, names: List[str], m: int
     ) -> Tuple[List[Tuple[int, int, float]], Dict[str, int]]:
         """Heaviest merged-partition pieces of the pooled member set."""
-        start = time.perf_counter()
-        try:
-            table, versions = self._cohort_table(names)
-            return table.top_k(int(m)), versions
-        finally:
-            self._record("group_top_k", start)
+        return self._group("group_top_k", names, lambda t: t.top_k(int(m)))
 
     def heavy_hitters(self, name: str, phi: float) -> List[Tuple[int, int]]:
         """Sliding-window ``phi``-heavy hitters of entry ``name``.

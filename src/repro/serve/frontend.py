@@ -53,6 +53,7 @@ import numpy as np
 from ..obs.jsonlog import SlowQueryLog
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TraceContext, span
+from .engine import GROUP_QUERY_KINDS
 from .persistence import StoreCorruptionError
 from .router import Shard, ShardRouter
 from .store import StoreEntry
@@ -84,9 +85,6 @@ _ARG_FORMS: Dict[str, str] = {
     "group_top_k": "(m,)",
 }
 
-# Kinds served by the router's cohort table rather than a single shard's
-# engine.
-_GROUP_KINDS = ("group_range_sum", "group_range_mean", "group_top_k")
 
 # kind -> number of positional query arguments
 QUERY_KINDS: Dict[str, int] = {
@@ -418,7 +416,7 @@ class AsyncServingFrontend:
         group_items: List[Tuple[int, QueryRequest]] = []
         for index, request in enumerate(requests):
             kind = request.kind
-            if kind in _GROUP_KINDS:
+            if kind in GROUP_QUERY_KINDS:
                 group_items.append((index, request))
                 continue
             key = (request.name, kind)
@@ -529,7 +527,6 @@ class AsyncServingFrontend:
         mirroring what N individual reads would record.
         """
         try:
-            members = self.router.resolve_members(request.name)
             value, versions = getattr(self.router, request.kind)(
                 request.name, *request.args
             )
@@ -537,7 +534,7 @@ class AsyncServingFrontend:
             return QueryResult(
                 index=index, name=request.name, kind=request.kind, error=str(exc)
             )
-        for member in members:
+        for member in versions:  # the resolved members, in member order
             self.registry.counter(
                 "frontend_entry_requests_total",
                 "requests addressed to the entry",

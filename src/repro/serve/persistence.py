@@ -57,7 +57,10 @@ materializes only the manifest(s), and each entry's payload hydrates on
 its first query (or eagerly with ``lazy=False``).  Stores (schema 5) and
 sharded parents (schema 3) may additionally carry a ``"cohorts"`` table
 naming registered entry groups for group-by queries; saves without
-cohorts keep the previous schema stamp so older readers load them.
+cohorts keep the previous schema stamp so older readers load them.  The
+table is written and validated by the owner's
+:class:`~repro.serve.cohorts.CohortRegistry` (``to_manifest`` /
+``load_manifest``), the one form for stores and sharded parents alike.
 
 Writes are crash-safe: everything lands in a temporary sibling directory
 first and the final directory is swapped in by rename, so a failed or
@@ -257,17 +260,6 @@ def _check_replace_target(path: Path) -> None:
             )
 
 
-def _saveable_cohorts(store: SynopsisStore) -> Dict[str, List[str]]:
-    """The store's cohort table restricted to members this save writes."""
-    saved = set(store.names())
-    cohorts = {}
-    for cohort, members in store.cohorts().items():
-        kept = [name for name in members if name in saved]
-        if kept:
-            cohorts[cohort] = kept
-    return cohorts
-
-
 def _write_store_contents(store: SynopsisStore, target: Path) -> None:
     """Write one store's segments + manifest into ``target`` (no atomicity).
 
@@ -305,7 +297,7 @@ def _write_store_contents(store: SynopsisStore, target: Path) -> None:
                 "names": chunk,
             }
         )
-    cohorts = _saveable_cohorts(store)
+    cohorts = store._cohorts.to_manifest(set(names))
     manifest = {
         "format": STORE_FORMAT,
         # Cohort-less stores stamp schema 4 so readers predating the
@@ -410,10 +402,7 @@ def save_sharded(router, path: Union[str, Path]) -> None:
                 (tmp / shard_dir).mkdir()
                 _write_store_contents(shard.store, tmp / shard_dir)
                 shard_dirs.append(shard_dir)
-            cohorts = {
-                cohort: list(members)
-                for cohort, members in router.cohorts().items()
-            }
+            cohorts = router._cohorts.to_manifest(router)
             # Cohort-less routers stamp the previous schema so readers
             # older than the cohort bump keep loading them.
             manifest = {
@@ -737,40 +726,6 @@ def _parse_record(record: Any, path: Path) -> Tuple[Any, ...]:
     return name, version, result, built_at_samples, frozen_meta, plan
 
 
-def _parse_cohorts(
-    manifest: Dict[str, Any], path: Path
-) -> Dict[str, List[str]]:
-    """Validate a manifest's optional ``cohorts`` table (either format)."""
-    raw = manifest.get("cohorts")
-    if raw is None:
-        return {}
-    if not isinstance(raw, dict):
-        raise StoreCorruptionError(f"invalid cohorts table in {path}")
-    cohorts: Dict[str, List[str]] = {}
-    for cohort, members in raw.items():
-        if (
-            not isinstance(cohort, str)
-            or not isinstance(members, list)
-            or not members
-            or not all(isinstance(member, str) for member in members)
-        ):
-            raise StoreCorruptionError(
-                f"invalid cohorts table in {path}: cohort {cohort!r} must "
-                f"map to a non-empty list of entry names"
-            )
-        cohorts[cohort] = list(members)
-    return cohorts
-
-
-def _adopt_cohorts(define, cohorts: Dict[str, List[str]], loaded) -> None:
-    """Install the cohorts whose members all loaded (selective loads drop
-    cohorts referencing entries outside the selection)."""
-    present = set(loaded)
-    for cohort, members in cohorts.items():
-        if all(member in present for member in members):
-            define(cohort, members)
-
-
 def _parse_last_versions(manifest: Dict[str, Any], path: Path) -> Dict[str, int]:
     raw_versions = manifest.get("last_versions") or {}
     if not isinstance(raw_versions, dict):
@@ -820,7 +775,7 @@ def load_store(
                 f"store {path} has no entries named "
                 f"{', '.join(sorted(repr(m) for m in missing))}"
             )
-    _adopt_cohorts(store.define_cohort, _parse_cohorts(manifest, path), store.names())
+    store._cohorts.load_manifest(manifest.get("cohorts"), store, path)
     # Names that were removed after their last registration keep their
     # version floor, so re-registering them never reissues a served version.
     for name, last in last_versions.items():
@@ -1052,7 +1007,5 @@ def load_sharded(
         raise StoreCorruptionError(
             f"inconsistent sharded store {path}: {exc}"
         ) from exc
-    _adopt_cohorts(
-        router.define_cohort, _parse_cohorts(manifest, path), router.names()
-    )
+    router._cohorts.load_manifest(manifest.get("cohorts"), router, path)
     return router

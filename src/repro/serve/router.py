@@ -15,13 +15,17 @@ The lock discipline that makes concurrent serving safe:
 * Queries take no router-level lock at all.  They go through the shard
   engine's ``table_versioned``, which reads a consistent
   ``(version, synopsis)`` snapshot under the store's internal lock.
-  Group queries on a named cohort hold the router's cohort lock only to
-  look up or store the cohort's cached table; they read the members'
-  versions under each shard store's lock.
+  Group queries on a named cohort hold the router's
+  :class:`~repro.serve.cohorts.CohortRegistry` lock only to look up or
+  store the cohort's cached table; they read the members' versions under
+  each shard store's lock, never under the registry lock.
 * Writes (``register`` / ``extend`` / ``refresh``) hold the target
   shard's ``write_lock``, serializing multi-step read-modify-write
   sequences per shard while leaving the other N-1 shards fully
   concurrent.
+* ``define_cohort`` checks membership and inserts under the registry
+  lock, and ``remove`` prunes cohorts only after the shard store has
+  dropped the entry, so a cohort never names a removed entry.
 
 Each shard may be backed by its own persisted store directory (see
 ``save_sharded`` / ``load_sharded`` in :mod:`repro.serve.persistence`);
@@ -36,7 +40,7 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,15 +48,12 @@ from ..core.serialize import check_payload_tag
 from ..core.sparse import SparseFunction
 from ..obs.metrics import MetricsRegistry
 from ..sampling.streaming import StreamingHistogramLearner
-from .engine import CohortTable, PrefixTable, QueryEngine
+from .cohorts import CohortOwner, CohortRegistry
+from .engine import PrefixTable, QueryEngine
 from .planner import BuildBudget, BuildPlan, plan_cohort
 from .store import StoreEntry, SynopsisStore, duplicate_entry_message
 
 __all__ = ["Shard", "ShardMap", "ShardRouter", "stable_shard"]
-
-#: A named cohort's cached ``(key, member tables, stacked table)``; the
-#: key is the ordered ``((member, version), ...)`` the tables carry.
-_CohortSlot = Tuple[Tuple[Tuple[str, int], ...], List[PrefixTable], CohortTable]
 
 
 def stable_shard(name: str, num_shards: int) -> int:
@@ -199,7 +200,7 @@ class Shard:
         return len(self.store)
 
 
-class ShardRouter:
+class ShardRouter(CohortOwner):
     """Route named synopses across N concurrent store/engine shards.
 
     The router exposes the same registration and query surface as a
@@ -243,16 +244,10 @@ class ShardRouter:
             "router_entries_migrated_total",
             "entries whose shard changed (reshard or live migrate)",
         )
-        # Router-level cohorts: members may span shards, so the name
-        # registry lives here, not in any single shard store.
-        self._cohorts: Dict[str, Tuple[str, ...]] = {}
-        # One stacked table per named cohort, with the ordered
-        # ((member, version), ...) key and the member tables it was built
-        # from.  It lives here, not per shard: the member-order reduction
-        # interleaves members of different shards.  Guarded by
-        # _cohort_lock, like _cohorts.
-        self._cohort_tables: Dict[str, _CohortSlot] = {}
-        self._cohort_lock = threading.Lock()
+        # Router-level cohorts and their cached stacked tables: members
+        # may span shards, and the member-order reduction interleaves
+        # them, so the registry lives here, not in any single shard store.
+        self._cohorts = CohortRegistry()
         self.shards: List[Shard] = [
             self._make_shard(
                 index, SynopsisStore() if stores is None else stores[index]
@@ -317,9 +312,7 @@ class ShardRouter:
         # one-shard plain-store load path; a sharded load layers the
         # parent manifest's router-level cohorts on top.
         for store in stores:
-            for cohort, members in store.cohorts().items():
-                if all(member in router for member in members):
-                    router.define_cohort(cohort, members)
+            router._cohorts.adopt(store.cohorts(), router)
         return router
 
     # ------------------------------------------------------------------ #
@@ -482,15 +475,8 @@ class ShardRouter:
         shard = self._shard_for_registered(name)
         with shard.write_lock:
             shard.store.remove(name)
-        with self._cohort_lock:
-            for cohort in list(self._cohorts):
-                members = tuple(m for m in self._cohorts[cohort] if m != name)
-                if members != self._cohorts[cohort]:
-                    self._cohort_tables.pop(cohort, None)
-                    if members:
-                        self._cohorts[cohort] = members
-                    else:
-                        del self._cohorts[cohort]
+        # Pruned after the store removal, never under a store lock.
+        self._cohorts.prune(name)
         # The engines dropped their per-shard series via the store's
         # removal listener; this sweeps layer-agnostic per-entry series
         # too (the front end's request counter), so exposition does not
@@ -544,63 +530,6 @@ class ShardRouter:
             for key in totals:
                 totals[key] += row[key]
         return totals
-
-    # ------------------------------------------------------------------ #
-    # Cohorts (router-level: members may span shards)
-    # ------------------------------------------------------------------ #
-
-    def define_cohort(self, cohort: str, members: Any) -> None:
-        """Name an ordered member list for group-by queries.
-
-        Every member must be a registered entry (on any shard);
-        redefinition replaces the previous list.  Cohorts persist in the
-        sharded parent manifest.
-        """
-        names = [str(m) for m in members]
-        if not names:
-            raise ValueError("a cohort needs at least one member")
-        missing = [m for m in names if m not in self]
-        if missing:
-            raise KeyError(
-                f"cohort {cohort!r} references unknown entries: "
-                f"{', '.join(missing)}"
-            )
-        with self._cohort_lock:
-            self._cohorts[str(cohort)] = tuple(names)
-            self._cohort_tables.pop(str(cohort), None)
-
-    def cohorts(self) -> Dict[str, Tuple[str, ...]]:
-        """All defined cohorts as ``{name: (member, ...)}``."""
-        with self._cohort_lock:
-            return dict(self._cohorts)
-
-    def cohort_members(self, cohort: str) -> Tuple[str, ...]:
-        """The ordered member names of a defined cohort."""
-        with self._cohort_lock:
-            try:
-                return self._cohorts[cohort]
-            except KeyError:
-                raise KeyError(
-                    f"no cohort named {cohort!r}; defined: "
-                    f"{', '.join(self._cohorts) or '(none)'}"
-                ) from None
-
-    def resolve_members(self, spec: Any) -> List[str]:
-        """Member names for a group query target.
-
-        A string resolves as a cohort name first, then as a
-        comma-separated name list, then as one bare entry name; any
-        non-string iterable is taken as the member list itself.
-        """
-        if isinstance(spec, str):
-            with self._cohort_lock:
-                members = self._cohorts.get(spec)
-            if members is not None:
-                return list(members)
-            if "," in spec:
-                return [part.strip() for part in spec.split(",") if part.strip()]
-            return [spec]
-        return [str(name) for name in spec]
 
     def warm(self, names: Optional[Sequence[str]] = None) -> int:
         """Prefetch prefix tables shard by shard; returns tables resident
@@ -675,127 +604,54 @@ class ShardRouter:
     # Group-by queries (one stacked table per cohort, member-order sums)
     # ------------------------------------------------------------------ #
 
-    def _version_key(self, names: List[str]) -> Tuple[Tuple[str, int], ...]:
-        """The members' ordered ``(member, version)`` pairs as their shard
-        stores hold them now, read under each shard's store lock: no
-        hydration, no engine-cache traffic.
-
-        Raises the router's ``KeyError`` for the first unknown member.
+    def _member_versions(self, names: List[str]) -> List[int]:
+        """The members' versions as their shard stores hold them now, read
+        under each shard's store lock: no hydration, no engine-cache
+        traffic.  Raises the router's ``KeyError`` for an unknown member.
         """
-        by_shard: Dict[int, List[int]] = {}
-        for position, name in enumerate(names):
-            by_shard.setdefault(self.shard_map.shard_of(name), []).append(position)
-        versions: List[Optional[int]] = [None] * len(names)
-        for index, positions in by_shard.items():
-            read = self.shards[index].store.versions([names[i] for i in positions])
-            for position, version in zip(positions, read):
-                versions[position] = version
-        for position, name in enumerate(names):
-            if versions[position] is None:
-                # Unknown (raises here), or migrated since the map read.
-                store = self._shard_for_registered(name).store
-                versions[position] = store[name].version
-        return tuple(zip(names, versions))
+        versions: Dict[str, Optional[int]] = {}
+        for index, group in self.group_by_shard(names).items():
+            versions.update(zip(group, self.shards[index].store.versions(group)))
+        # None: unknown (self[name] raises) or migrated since the map read.
+        return [
+            self[name].version if versions[name] is None else versions[name]
+            for name in names
+        ]
 
-    def _build_cohort_table(
-        self, names: List[str], reuse: Dict[str, Tuple[int, PrefixTable]]
-    ) -> _CohortSlot:
-        """Stack the members' tables into a new cohort table.
-
-        ``reuse`` holds the ``(version, table)`` of members whose version
-        has not moved since the previous build; every other member goes
-        through its shard engine's ``table_versioned`` (one atomic store
-        snapshot).  So the key holds exactly the versions the stacked
-        tables carry, and a member's table is built once per version.
-        """
-        tables: List[PrefixTable] = []
-        key: List[Tuple[str, int]] = []
-        for name in names:
-            found = reuse.get(name)
-            if found is None:
-                found = self._shard_for_registered(name).engine.table_versioned(name)
-            version, table = found
-            tables.append(table)
-            key.append((name, version))
-        return tuple(key), tables, CohortTable(tables)
-
-    def _cohort_table(
-        self, spec: Any, names: List[str]
-    ) -> Tuple[CohortTable, Dict[str, int]]:
-        """The stacked table for a group query and its ``{member: version}``.
-
-        A named cohort's table is cached and rebuilt only when the
-        ordered ``(member, version)`` key read from the shard stores
-        changed; the rebuild fetches only the members whose version
-        moved.  An ad-hoc member list gets a table for this call only.
-        """
-        if not names:
-            raise ValueError("group queries need at least one member")
-        cohort = spec if isinstance(spec, str) else None
-        with self._cohort_lock:
-            if cohort is not None and self._cohorts.get(cohort) != tuple(names):
-                cohort = None
-            cached = self._cohort_tables.get(cohort) if cohort is not None else None
-        reuse: Dict[str, Tuple[int, PrefixTable]] = {}
-        if cached is not None:
-            current = self._version_key(names)
-            if current == cached[0]:
-                return cached[2], dict(current)
-            unchanged = set(current)
-            reuse = {
-                name: (version, table)
-                for (name, version), table in zip(cached[0], cached[1])
-                if (name, version) in unchanged
-            }
-        slot = self._build_cohort_table(names, reuse)
-        if cohort is not None:
-            with self._cohort_lock:
-                # Cache only for the definition the table was built for.
-                if self._cohorts.get(cohort) == tuple(names):
-                    self._cohort_tables[cohort] = slot
-        return slot[2], dict(slot[0])
-
-    def _observe_group(self, kind: str, names: List[str], start: float) -> None:
-        # The group evaluation ran on the caller's thread, not inside any
-        # one engine; attribute its latency to the first member's shard
-        # so the per-kind series exist exactly once per query.
-        self.shard_of(names[0]).engine.observe_query(
+    def _group(
+        self, kind: str, names: Any, evaluate: Callable
+    ) -> Tuple[Any, Dict[str, int]]:
+        """Evaluate a group target's stacked table from the cohort registry,
+        fed by per-shard version reads and the shard engines'
+        ``table_versioned``; returns ``(value, {member: version})``."""
+        members = self.resolve_members(names)
+        start = time.perf_counter()
+        table, versions = self._cohorts.table(
+            names, members, self._member_versions, self.table_versioned
+        )
+        value = evaluate(table)
+        # The evaluation ran on the caller's thread, not inside any one
+        # engine; attribute its latency to the first member's shard so the
+        # per-kind series exist exactly once per query.
+        self.shard_of(members[0]).engine.observe_query(
             kind, time.perf_counter() - start
         )
+        return value, versions
 
-    def group_range_sum(
-        self, names: Any, a, b
-    ) -> Tuple[Any, Dict[str, int]]:
+    def group_range_sum(self, names: Any, a, b) -> Tuple[Any, Dict[str, int]]:
         """Pooled range sum over a cohort / member list; returns
         ``(value, {member: version})``."""
-        members = self.resolve_members(names)
-        start = time.perf_counter()
-        table, versions = self._cohort_table(names, members)
-        value = table.range_sum(a, b)
-        self._observe_group("group_range_sum", members, start)
-        return value, versions
+        return self._group("group_range_sum", names, lambda t: t.range_sum(a, b))
 
-    def group_range_mean(
-        self, names: Any, a, b
-    ) -> Tuple[Any, Dict[str, int]]:
+    def group_range_mean(self, names: Any, a, b) -> Tuple[Any, Dict[str, int]]:
         """Pooled range mean over a cohort / member list."""
-        members = self.resolve_members(names)
-        start = time.perf_counter()
-        table, versions = self._cohort_table(names, members)
-        value = table.range_mean(a, b)
-        self._observe_group("group_range_mean", members, start)
-        return value, versions
+        return self._group("group_range_mean", names, lambda t: t.range_mean(a, b))
 
     def group_top_k(
         self, names: Any, m: int
     ) -> Tuple[List[Tuple[int, int, float]], Dict[str, int]]:
         """Heaviest merged-partition pieces of the pooled member set."""
-        members = self.resolve_members(names)
-        start = time.perf_counter()
-        table, versions = self._cohort_table(names, members)
-        value = table.top_k(int(m))
-        self._observe_group("group_top_k", members, start)
-        return value, versions
+        return self._group("group_top_k", names, lambda t: t.top_k(int(m)))
 
     # ------------------------------------------------------------------ #
     # Live migration
@@ -887,8 +743,7 @@ class ShardRouter:
                 new.shard_map.assign_to(name, index)
                 new.shards[index].store._last_versions[name] = floor
         # The new router builds its own stacked tables on first query.
-        with self._cohort_lock:
-            new._cohorts = dict(self._cohorts)
+        new._cohorts.adopt(self.cohorts(), new)
         return new
 
     def _sticky_index(self, name: str, num_shards: int) -> int:

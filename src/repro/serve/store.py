@@ -18,6 +18,12 @@ Writers that perform multi-step read-modify-write sequences (``extend``'s
 absorb-then-maybe-refresh) must additionally be serialized among
 themselves by an external per-shard write lock; the store lock alone only
 guarantees reader consistency.
+
+Named cohorts (ordered member lists for the group-by query kinds) and
+their cached stacked tables live in the
+:class:`~repro.serve.cohorts.CohortRegistry` the store holds, the same
+class a :class:`~repro.serve.router.ShardRouter` holds; :meth:`remove`
+prunes them after the entry is gone, never under the store lock.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from ..obs.metrics import MetricsRegistry, timer
 from ..sampling.streaming import StreamingHistogramLearner
 from ..sampling.windowed import WindowedStreamLearner
 from .builders import BuildResult, build_synopsis
+from .cohorts import CohortOwner, CohortRegistry
 from .planner import (
     BYTES_PER_NUMBER,
     BudgetInfeasibleError,
@@ -215,7 +222,7 @@ class StoreEntry:
         return meta
 
 
-class SynopsisStore:
+class SynopsisStore(CohortOwner):
     """Registry of named series, each summarized by a chosen synopsis family."""
 
     def __init__(
@@ -228,9 +235,9 @@ class SynopsisStore:
         # (name, version) pairs must never repeat, or engine caches would
         # serve a stale table after remove-then-re-register.
         self._last_versions: Dict[str, int] = {}
-        # Named cohorts: ordered member lists for group-by queries,
-        # persisted with the store (manifest "cohorts" key).
-        self._cohorts: Dict[str, Tuple[str, ...]] = {}
+        # Named cohorts for group-by queries and their cached stacked
+        # tables, persisted with the store (manifest "cohorts" key).
+        self._cohorts = CohortRegistry()
         # Guards _entries/_last_versions and every (result, version) swap;
         # RLock so refresh() can run under a caller already holding it.
         self._lock = threading.RLock()
@@ -641,17 +648,10 @@ class SynopsisStore:
         with self._lock:
             entry = self._entries.pop(name)
             self._resident_add(-entry.resident_bytes)
-            # Keep the members-always-exist invariant: prune the removed
-            # name from any cohort, dropping cohorts that become empty.
-            for cohort in list(self._cohorts):
-                members = self._cohorts[cohort]
-                if name in members:
-                    kept = tuple(m for m in members if m != name)
-                    if kept:
-                        self._cohorts[cohort] = kept
-                    else:
-                        del self._cohorts[cohort]
             listeners = list(self._removal_listeners)
+        # Prune after the removal and outside the store lock (the registry
+        # lock is never taken under it), so no cohort names a removed entry.
+        self._cohorts.prune(name)
         residency = self._residency
         if residency is not None:
             residency.discard(self, name)
@@ -739,62 +739,6 @@ class SynopsisStore:
                 self._resident_add(-freed)
                 self._c_evictions.inc()
             return freed
-
-    # ------------------------------------------------------------------ #
-    # Cohorts
-    # ------------------------------------------------------------------ #
-
-    def define_cohort(self, cohort: str, members: Any) -> None:
-        """Name an ordered member list for group-by queries.
-
-        Every member must be a registered entry; redefinition replaces
-        the previous member list.  Cohorts persist with the store.
-        """
-        names = [str(m) for m in members]
-        if not names:
-            raise ValueError("a cohort needs at least one member")
-        cohort = str(cohort)
-        with self._lock:
-            missing = [m for m in names if m not in self._entries]
-            if missing:
-                raise KeyError(
-                    f"cohort {cohort!r} references unknown entries: "
-                    f"{', '.join(missing)}"
-                )
-            self._cohorts[cohort] = tuple(names)
-
-    def cohorts(self) -> Dict[str, Tuple[str, ...]]:
-        """All defined cohorts as ``{name: (member, ...)}``."""
-        with self._lock:
-            return dict(self._cohorts)
-
-    def cohort_members(self, cohort: str) -> Tuple[str, ...]:
-        """The ordered member names of a defined cohort."""
-        with self._lock:
-            try:
-                return self._cohorts[cohort]
-            except KeyError:
-                raise KeyError(
-                    f"no cohort named {cohort!r}; defined: "
-                    f"{', '.join(self._cohorts) or '(none)'}"
-                ) from None
-
-    def resolve_members(self, spec: Any) -> List[str]:
-        """Member names for a group query target.
-
-        A string resolves as a cohort name first, then as a
-        comma-separated name list, then as one bare entry name; any
-        non-string iterable is taken as the member list itself.
-        """
-        if isinstance(spec, str):
-            with self._lock:
-                members = self._cohorts.get(spec)
-            if members is not None:
-                return list(members)
-            if "," in spec:
-                return [part.strip() for part in spec.split(",") if part.strip()]
-            return [spec]
-        return [str(name) for name in spec]
 
     # ------------------------------------------------------------------ #
     # Persistence (implementation in repro.serve.persistence)

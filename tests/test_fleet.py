@@ -11,9 +11,15 @@ The load-bearing properties:
   families, carrying per-member snapshot versions (Hypothesis, engine and
   1-3-shard router).  The reference reduction lives here, in
   ``member_order_sum`` / ``member_order_top_k``.
-* A router caches one cohort table per named cohort: warm group queries
-  build no table and leave the engines' LRU caches untouched, and a
-  member's new version triggers exactly one rebuild.
+* One cohort registry, held by a store and by a router alike, caches one
+  cohort table per named cohort: warm group queries build no table and
+  leave the engines' LRU caches untouched, and a member's new version
+  triggers exactly one rebuild.  A cohort never names a removed entry,
+  not even when the removal races a definition.
+* The cohort state machine (``CohortMachine``) runs random register,
+  register_many, remove, define_cohort, migrate, reshard, save-load and
+  group-query sequences against a store with an engine and 1- and
+  2-shard routers, checked against a model after every step.
 * A ``ResidencyManager`` budget bounds resident payload bytes while every
   answer stays correct — cooled entries re-hydrate transparently.
 * Cohort definitions persist (schema bump) while cohort-less stores keep
@@ -28,6 +34,7 @@ import json
 import re
 import shutil
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -35,6 +42,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from helpers import positive_dense_arrays
 from repro import (
@@ -47,7 +61,7 @@ from repro import (
 )
 from repro.__main__ import main
 from repro.obs import get_default_registry
-from repro.serve import engine as engine_module
+from repro.serve import cohorts as cohorts_module
 from repro.serve import (
     GROUP_QUERY_KINDS,
     SYNOPSIS_FAMILIES,
@@ -333,15 +347,15 @@ class TestGroupExactness:
         hit an unknown member, a member on another domain and the empty
         list, and the evaluation runs in one pass or in many."""
         per_pass = data.draw(
-            st.sampled_from([1, 7, 64, engine_module._PAIRS_PER_PASS]),
+            st.sampled_from([1, 7, 64, cohorts_module._PAIRS_PER_PASS]),
             label="pairs per pass",
         )
-        default = engine_module._PAIRS_PER_PASS
-        engine_module._PAIRS_PER_PASS = per_pass
+        default = cohorts_module._PAIRS_PER_PASS
+        cohorts_module._PAIRS_PER_PASS = per_pass
         try:
             self._check_group_answers(data)
         finally:
-            engine_module._PAIRS_PER_PASS = default
+            cohorts_module._PAIRS_PER_PASS = default
 
     @staticmethod
     def _check_group_answers(data):
@@ -507,9 +521,18 @@ class TestGroupQueries:
                 group.group_top_k(["a", "b"], 0)
             with pytest.raises(ValueError, match="got n=16 and n=20"):
                 group.group_top_k(["a", "b", "wide"], 2)
+            # A member listed twice would count its mass twice against a
+            # version dict that lists it once.
+            for twice in (["a", "b", "a"], "a, b,a"):
+                with pytest.raises(ValueError, match="'a' is listed more than once"):
+                    group.group_range_sum(twice, 0, 15)
             value, versions = group.group_range_sum(["wide", "a"], 0, 15)
             assert type(value) is float
             assert list(versions) == ["wide", "a"]
+        for target in (store, router):
+            with pytest.raises(ValueError, match="'b' is listed more than once"):
+                target.define_cohort("dup", ["b", "a", "b"])
+            assert "dup" not in target.cohorts()
 
 
 # --------------------------------------------------------------------- #
@@ -590,22 +613,43 @@ class TestCohortTableCache:
         )
         assert rebuilds[0] == 1
 
+    def test_engine_warm_named_cohort_builds_nothing(self, monkeypatch):
+        """The single-store engine caches through the same registry: a
+        250-member cohort far larger than the engine's table cache is
+        stacked once, then answered with no table built."""
+        store = SynopsisStore()
+        named = fleet_signals(250, seed=4)
+        store.register_many(named, BuildBudget(max_bytes=400), cohort="fleet")
+        engine = QueryEngine(store, cache_size=8)
+        builds = count_calls(monkeypatch, PrefixTable, "from_synopsis")
+        first = engine.group_range_sum("fleet", 0, 47)
+        assert builds[0] == 250
+        for _ in range(3):
+            assert engine.group_range_sum("fleet", 0, 47) == first
+        assert builds[0] == 250
+        store.register(named[7][0], np.ones(48), family="merging", k=2)
+        value, versions = engine.group_range_sum("fleet", 0, 47)
+        assert builds[0] == 251  # only the member whose version moved
+        assert versions[named[7][0]] == 1
+        tables = [engine.table_versioned(name)[1] for name, _ in named]
+        assert value == member_order_sum(tables, 0, 47)
+
     def test_slots_never_exceed_defined_cohorts(self, cohort_router):
         router, names = cohort_router
 
         def query_all():
             for cohort in router.cohorts():
                 router.group_top_k(cohort, 2)
-            assert len(router._cohort_tables) <= len(router.cohorts())
+            assert len(router._cohorts._tables) <= len(router.cohorts())
 
         router.define_cohort("head", names[:10])
         query_all()
-        assert set(router._cohort_tables) == {"fleet", "head"}
+        assert set(router._cohorts._tables) == {"fleet", "head"}
         router.remove(names[0])  # both cohorts lose a member
-        assert len(router._cohort_tables) <= len(router.cohorts())
+        assert len(router._cohorts._tables) <= len(router.cohorts())
         query_all()
         router.define_cohort("head", names[20:25])
-        assert "head" not in router._cohort_tables
+        assert "head" not in router._cohorts._tables
         value, versions = router.group_range_sum("head", 0, 47)
         assert list(versions) == names[20:25]
         tables = [router.table_versioned(name)[1] for name in names[20:25]]
@@ -613,11 +657,49 @@ class TestCohortTableCache:
         for name in names[20:25]:
             router.remove(name)
         assert "head" not in router.cohorts()
-        assert set(router._cohort_tables) <= {"fleet"}
+        assert set(router._cohorts._tables) <= {"fleet"}
         router.group_range_sum(names[30:33], 0, 5)  # ad-hoc lists get no slot
         router.group_range_sum(",".join(names[30:33]), 0, 5)
         query_all()
-        assert set(router._cohort_tables) == {"fleet"}
+        assert set(router._cohorts._tables) == {"fleet"}
+
+    def test_define_racing_remove_never_names_removed_entry(self, monkeypatch):
+        """``remove("a")`` lands between ``define_cohort``'s membership
+        check of "a" and its insert: the cohort must not end up naming
+        the removed entry."""
+        router = ShardRouter(num_shards=2)
+        for name in ("a", "b"):
+            router.register(name, np.arange(1.0, 49.0), family="merging", k=4)
+        store_a = router.shard_of("a").store
+        removed = threading.Event()
+        remove_a = store_a.remove
+
+        def remove_and_signal(name):
+            remove_a(name)
+            removed.set()
+
+        monkeypatch.setattr(store_a, "remove", remove_and_signal)
+        remover = threading.Thread(target=router.remove, args=("a",))
+        contains = SynopsisStore.__contains__
+        started = []
+
+        def contains_then_remove(store, name):
+            found = contains(store, name)
+            if name == "a" and not started:
+                # "a" has been found; remove it before define inserts.
+                started.append(True)
+                remover.start()
+                assert removed.wait(timeout=10)
+            return found
+
+        monkeypatch.setattr(SynopsisStore, "__contains__", contains_then_remove)
+        router.define_cohort("c", ["a", "b"])
+        remover.join(timeout=10)
+        assert not remover.is_alive()
+        assert "a" not in router
+        assert router.cohorts() == {"c": ("b",)}
+        value, versions = router.group_range_sum("c", 0, 47)
+        assert (value, versions) == (router.range_sum("b", 0, 47), {"b": 0})
 
     def test_answers_match_reference_at_reported_versions_under_refresh(self):
         router = ShardRouter(num_shards=2)
@@ -846,7 +928,7 @@ class TestCohortPersistence:
 
         new = router.reshard(num_shards)
         assert new.cohorts() == router.cohorts()
-        assert not new._cohort_tables  # built afresh on first query
+        assert not new._cohorts._tables  # built afresh on first query
         got_sum = new.group_range_sum("all", a, b)
         assert got_sum[0].tobytes() == want_sum[0].tobytes()
         assert got_sum[1] == want_sum[1]
@@ -875,16 +957,260 @@ class TestCohortPersistence:
         assert got == want
         assert set(versions) == {n for n, _ in named}
 
-    def test_cohort_membership_pruned_on_save_after_remove(self, tmp_path):
-        named = fleet_signals(3, seed=8)
-        store = SynopsisStore()
-        store.register_many(named, BuildBudget(max_bytes=400), cohort="fleet")
-        store.remove(named[0][0])
-        store.save(tmp_path / "pruned")
-        loaded = load_store(tmp_path / "pruned")
-        assert loaded.cohorts() == {
-            "fleet": tuple(n for n, _ in named[1:])
-        }
+
+# --------------------------------------------------------------------- #
+# The cohort state machine
+# --------------------------------------------------------------------- #
+
+MACHINE_N = 24
+MACHINE_NAMES = ("a", "b", "c", "d", "e")
+MACHINE_COHORTS = ("g1", "g2")
+MACHINE_BUDGET = BuildBudget(max_bytes=400)
+#: What a save-and-load asks of every cohort before and after.
+MACHINE_COHORT_QUERIES = (
+    ("group_range_sum", (np.array([0, 5, 11]), np.array([MACHINE_N - 1, 5, 20]))),
+    ("group_top_k", (3,)),
+)
+
+
+def machine_values(seed):
+    """A mixed-sign series on the machine's one domain."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(rng.uniform(-0.5, 2.0), rng.uniform(0.2, 2.0), MACHINE_N)
+
+
+def brute_force_sum(dense, a, b):
+    """``sum_{i in [a, b]}`` straight off a dense reconstruction."""
+    prefix = np.concatenate(([0.0], np.cumsum(dense)))
+    return prefix[np.asarray(b) + 1] - prefix[np.asarray(a)]
+
+
+class CohortMachine(RuleBasedStateMachine):
+    """Random register / re-register / register_many / remove /
+    define_cohort / migrate / reshard / save-load sequences against a
+    model of dense reconstructions, versions and cohorts.
+
+    ``SHARDS = 0`` drives a :class:`SynopsisStore` through a
+    :class:`QueryEngine`; otherwise a :class:`ShardRouter` with that many
+    shards.  After every step the target's entries, versions and
+    cohorts equal the model's, so no cohort names a removed entry and
+    versions only grow.  Every group answer equals the member-order
+    reduction of the members' own tables byte for byte, reports the
+    model's ``{member: version}`` and matches brute force on the model's
+    reconstructions; a reload answers every cohort identically.
+    """
+
+    SHARDS = 0
+
+    def __init__(self):
+        super().__init__()
+        self.workdir = Path(tempfile.mkdtemp(prefix="cohort-machine-"))
+        self.saves = 0
+        self.dense = {}  # live name -> dense reconstruction
+        self.versions = {}  # live name -> version
+        self.last = {}  # name -> last version ever issued
+        self.groups = {}  # cohort -> members
+        self.bind(
+            ShardRouter(num_shards=self.SHARDS) if self.SHARDS else SynopsisStore()
+        )
+
+    def bind(self, target):
+        self.target = target
+        self.surface = target if self.SHARDS else QueryEngine(target, cache_size=4)
+
+    def teardown(self):
+        shutil.rmtree(self.workdir, ignore_errors=True)
+
+    def installed(self, entry):
+        version = self.last.get(entry.name, -1) + 1
+        assert entry.version == version
+        self.last[entry.name] = self.versions[entry.name] = version
+        self.dense[entry.name] = entry.synopsis.to_dense()
+
+    def expected_error(self, members):
+        """What resolving and using ``members`` must raise, or None."""
+        if not members or len(set(members)) < len(members):
+            return ValueError
+        if any(name not in self.versions for name in members):
+            return KeyError
+        return None
+
+    @initialize(seed=st.integers(0, 2**16))
+    def start_with_a_cohort(self, seed):
+        self.register_many("g1", list(MACHINE_NAMES[:3]), seed)
+
+    @rule(
+        name=st.sampled_from(MACHINE_NAMES),
+        seed=st.integers(0, 2**16),
+        family=st.sampled_from(SYNOPSIS_FAMILIES),
+        k=st.integers(1, 4),
+    )
+    def register(self, name, seed, family, k):
+        self.installed(
+            self.target.register(name, machine_values(seed), family=family, k=k)
+        )
+
+    @rule(
+        cohort=st.sampled_from(MACHINE_COHORTS),
+        members=st.lists(
+            st.sampled_from(MACHINE_NAMES), min_size=1, max_size=3, unique=True
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def register_many(self, cohort, members, seed):
+        pairs = [(name, machine_values(seed + i)) for i, name in enumerate(members)]
+        if any(name in self.versions for name in members):
+            with pytest.raises(ValueError, match="already registered"):
+                self.target.register_many(pairs, MACHINE_BUDGET, cohort=cohort)
+            return
+        for entry in self.target.register_many(pairs, MACHINE_BUDGET, cohort=cohort):
+            self.installed(entry)
+        self.groups[cohort] = tuple(members)
+
+    @rule(name=st.sampled_from(MACHINE_NAMES))
+    def remove(self, name):
+        if name not in self.versions:
+            with pytest.raises(KeyError):
+                self.target.remove(name)
+            return
+        self.target.remove(name)
+        del self.versions[name], self.dense[name]
+        for cohort, members in list(self.groups.items()):
+            kept = tuple(member for member in members if member != name)
+            if kept:
+                self.groups[cohort] = kept
+            else:
+                del self.groups[cohort]
+
+    @rule(
+        cohort=st.sampled_from(MACHINE_COHORTS),
+        members=st.lists(st.sampled_from(MACHINE_NAMES + ("ghost",)), max_size=4),
+    )
+    def define_cohort(self, cohort, members):
+        error = self.expected_error(members)
+        if error is not None:
+            with pytest.raises(error):
+                self.target.define_cohort(cohort, members)
+            return
+        self.target.define_cohort(cohort, members)
+        self.groups[cohort] = tuple(members)
+
+    @precondition(lambda self: self.SHARDS)
+    @rule(name=st.sampled_from(MACHINE_NAMES), shard=st.integers(0, 2))
+    def migrate(self, name, shard):
+        shard %= self.target.num_shards
+        if name not in self.versions:
+            with pytest.raises(KeyError):
+                self.target.migrate(name, shard)
+            return
+        self.target.migrate(name, shard)
+        assert self.target.shard_map.shard_of(name) == shard
+
+    @precondition(lambda self: self.SHARDS)
+    @rule(num_shards=st.integers(1, 3))
+    def reshard(self, num_shards):
+        self.bind(self.target.reshard(num_shards))
+
+    @rule()
+    def save_and_load(self):
+        queries = [
+            (kind, args, cohort)
+            for cohort in sorted(self.groups)
+            for kind, args in MACHINE_COHORT_QUERIES
+        ]
+        before = [self.answer(*query) for query in queries]
+        path = self.workdir / f"save-{self.saves}"
+        self.saves += 1
+        self.target.save(path)
+        self.bind(type(self.target).load(path))
+        assert [self.answer(*query) for query in queries] == before
+
+    @precondition(lambda self: self.groups)
+    @rule(data=st.data())
+    def query_cohort(self, data):
+        cohort = data.draw(st.sampled_from(sorted(self.groups)), label="cohort")
+        self.answer(*self.draw_query(data), spec=cohort)
+
+    @rule(data=st.data())
+    def query_members(self, data):
+        live = st.lists(
+            st.sampled_from(sorted(self.versions) or ["ghost"]),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+        spec = data.draw(
+            st.one_of(
+                live,
+                live.map(",".join),
+                st.lists(st.sampled_from(MACHINE_NAMES + ("ghost",)), max_size=4),
+            ),
+            label="members",
+        )
+        self.answer(*self.draw_query(data), spec=spec)
+
+    @staticmethod
+    def draw_query(data):
+        kind = data.draw(st.sampled_from(["group_range_sum", "group_top_k"]))
+        if kind == "group_top_k":
+            return kind, (data.draw(st.integers(1, 6), label="m"),)
+        points = st.integers(0, MACHINE_N - 1)
+        pairs = data.draw(st.lists(st.tuples(points, points), min_size=1, max_size=3))
+        a, b = np.sort(np.array(pairs), axis=1).T
+        return kind, (a, b) if data.draw(st.booleans()) else (int(a[0]), int(b[0]))
+
+    def answer(self, kind, args, spec):
+        """Run one group query and check it against the model; returns
+        its outcome as exact bytes."""
+        if isinstance(spec, str) and spec in self.groups:
+            members = list(self.groups[spec])
+        elif isinstance(spec, str):
+            members = [part for part in spec.split(",") if part]
+        else:
+            members = list(spec)
+        error = self.expected_error(members)
+        if error is not None:
+            with pytest.raises(error):
+                getattr(self.surface, kind)(spec, *args)
+            return error
+        value, versions = getattr(self.surface, kind)(spec, *args)
+        assert list(versions.items()) == [(m, self.versions[m]) for m in members]
+        tables = [self.surface.table_versioned(m)[1] for m in members]
+        dense = [self.dense[m] for m in members]
+        if kind == "group_top_k":
+            assert value == member_order_top_k(tables, *args)
+            lefts, rights, masses = (np.array(column) for column in zip(*value))
+            want = sum(brute_force_sum(d, lefts, rights) for d in dense)
+        else:
+            assert _exact(value) == _exact(member_order_sum(tables, *args))
+            masses = value
+            want = sum(brute_force_sum(d, *args) for d in dense)
+        np.testing.assert_allclose(masses, want, rtol=1e-9, atol=1e-9)
+        return _exact(value), list(versions.items())
+
+    @invariant()
+    def matches_model(self):
+        assert self.target.cohorts() == self.groups
+        assert sorted(self.target.names()) == sorted(self.versions)
+        for name, version in self.versions.items():
+            assert self.target[name].version == version
+
+
+class OneShardCohortMachine(CohortMachine):
+    SHARDS = 1
+
+
+class TwoShardCohortMachine(CohortMachine):
+    SHARDS = 2
+
+
+MACHINE_SETTINGS = settings(max_examples=30, stateful_step_count=30, deadline=None)
+TestStoreCohortMachine = CohortMachine.TestCase
+TestStoreCohortMachine.settings = MACHINE_SETTINGS
+TestOneShardCohortMachine = OneShardCohortMachine.TestCase
+TestOneShardCohortMachine.settings = MACHINE_SETTINGS
+TestTwoShardCohortMachine = TwoShardCohortMachine.TestCase
+TestTwoShardCohortMachine.settings = MACHINE_SETTINGS
 
 
 # --------------------------------------------------------------------- #
