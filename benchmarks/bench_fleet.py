@@ -9,7 +9,10 @@ Fleet-scale serving stands on three claims, and this file measures each:
   both paths over the same cohort (default 10k series of 48 points; set
   ``REPRO_BENCH_FLEET`` to shrink for smoke runs) and records the
   ``plans_reused_total`` / ``plans_probed_total`` counter deltas so the
-  speedup can be attributed to plan reuse, not noise.
+  speedup can be attributed to plan reuse, not noise.  The bulk store is
+  then saved and lazily loaded back, timing both, and the JSON manifest
+  bytes per series are recorded: the members share one plan, which each
+  segment writes once.
 * **a residency budget holds under a skewed read mix.**  A saved store
   is lazily reloaded, capped with ``ResidencyManager``, and driven with
   a Zipf-skewed query mix.  After every answer the resident-bytes gauge
@@ -26,7 +29,10 @@ Fleet-scale serving stands on three claims, and this file measures each:
 ``test_register_many_amortizes_planning`` is the regression gate: on a
 cohort of >= 10k series, ``register_many`` must beat the per-entry loop
 by >= 3x (smaller smoke cohorts skip the ratio assert but still check
-plan reuse happened).  ``test_residency_budget_respected`` gates the
+plan reuse happened).  ``test_manifest_holds_the_cohort_plan_once``
+gates the manifest at <= 1,500 bytes per series, deterministic and run
+in smoke mode too (a plan copied into every member's record is ~10 KB
+per series).  ``test_residency_budget_respected`` gates the
 second claim, and ``test_group_queries_beat_member_loop`` the third:
 each kind >= 5x the reference loop.  The group cohort's size does not
 follow ``REPRO_BENCH_FLEET``, so that gate runs in smoke mode too.
@@ -63,6 +69,7 @@ FLEET_SIZE = int(os.environ.get("REPRO_BENCH_FLEET", "10000"))
 UNIVERSE = 48
 REGISTER_GATE = 3.0
 GATE_FLOOR = 10_000  # the speedup gate only applies at full fleet size
+MANIFEST_GATE_BYTES = 1500  # JSON manifest bytes per series, any size
 
 RES_ENTRIES = 64
 RES_UNIVERSE = 2048
@@ -106,6 +113,16 @@ def _measure_register(count: int) -> dict:
     bulk_store.register_many(pairs, budget, cohort="fleet")
     bulk_s = time.perf_counter() - start
 
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fleet"
+        start = time.perf_counter()
+        save_store(bulk_store, path)
+        save_s = time.perf_counter() - start
+        start = time.perf_counter()
+        load_store(path, lazy=True)
+        load_s = time.perf_counter() - start
+        manifest_bytes = sum(f.stat().st_size for f in path.glob("*.json"))
+
     return {
         "fleet_size": count,
         "loop_register_s": loop_s,
@@ -113,6 +130,9 @@ def _measure_register(count: int) -> dict:
         "speedup_x": loop_s / bulk_s,
         "plans_probed": probed.value - probed0,
         "plans_reused": reused.value - reused0,
+        "bulk_save_s": save_s,
+        "bulk_load_s": load_s,
+        "manifest_bytes_per_series": manifest_bytes / count,
     }
 
 
@@ -273,6 +293,13 @@ def _gates(register: dict, residency: dict, group: dict) -> list:
             "passed": full and register["speedup_x"] >= REGISTER_GATE,
         },
         {
+            "gate": (
+                f"bulk store manifest <= {MANIFEST_GATE_BYTES} bytes per series"
+            ),
+            "ran": True,
+            "passed": register["manifest_bytes_per_series"] <= MANIFEST_GATE_BYTES,
+        },
+        {
             "gate": "resident bytes <= budget with zero failed answers",
             "ran": True,
             "passed": residency["failed_answers"] == 0
@@ -320,7 +347,10 @@ def run_comparison(verbose: bool = True) -> dict:
             f"bulk {register['bulk_register_s']:.2f}s  "
             f"({register['speedup_x']:.1f}x, "
             f"{register['plans_reused']} reused / "
-            f"{register['plans_probed']} probed)"
+            f"{register['plans_probed']} probed); "
+            f"save {register['bulk_save_s']:.2f}s  "
+            f"load {register['bulk_load_s']:.2f}s  "
+            f"manifest {register['manifest_bytes_per_series']:.0f} B/series"
         )
         print(
             f"residency, {residency['entries']} entries under "
@@ -358,6 +388,15 @@ def test_register_many_amortizes_planning(comparison):
         )
     assert register["speedup_x"] >= REGISTER_GATE, (
         f"register_many only {register['speedup_x']:.1f}x faster"
+    )
+
+
+def test_manifest_holds_the_cohort_plan_once(comparison):
+    """Acceptance gate: the bulk store's JSON manifests stay under 1,500
+    bytes per series, so no member carries its own copy of the plan."""
+    register = comparison["register"]
+    assert register["manifest_bytes_per_series"] <= MANIFEST_GATE_BYTES, (
+        f"{register['manifest_bytes_per_series']:.0f} manifest bytes per series"
     )
 
 

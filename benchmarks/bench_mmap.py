@@ -83,7 +83,13 @@ def _save_npz_store(store: SynopsisStore, path: Path) -> None:
             **arrays,
             __skeleton__=np.asarray(json.dumps(skeleton)),
         )
-        records.append(persistence._manifest_entry(entry, payload_name))
+        # The entries are unplanned, so the segment plan table the
+        # current writer passes stays empty and no record refers to it.
+        records.append(
+            persistence._manifest_entry(
+                entry, payload_name, persistence._PlanTable()
+            )
+        )
     manifest = {
         "format": persistence.STORE_FORMAT,
         "schema": 3,

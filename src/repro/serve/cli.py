@@ -98,6 +98,7 @@ from .engine import QueryEngine
 from .persistence import (
     StoreCorruptionError,
     detect_store_format,
+    entry_plan,
     iter_manifest_entries,
     read_manifest,
     read_sharded_manifest,
@@ -514,9 +515,9 @@ def _cohort_query(args: argparse.Namespace, values: np.ndarray) -> int:
         else engine.group_range_mean
     )
     try:
-        method(names, a, b)  # warm the prefix-table cache
+        method("cohort", a, b)  # warm the cohort's stacked table
         with timer() as timed:
-            answers, _versions = method(names, a, b)
+            answers, _versions = method("cohort", a, b)
         elapsed = timed.seconds
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
@@ -1136,12 +1137,11 @@ def _print_manifest_entries(
                 f"version={record.get('version')} "
                 f"payload={_manifest_payload_label(record)}"
             )
-            if record.get("plan") is not None:
-                plan = record["plan"]
-                chosen = plan["candidates"][int(plan["chosen_index"])]
+            plan = entry_plan(record)
+            if plan is not None:
                 line += (
-                    f" planned[{chosen.get('family')}@k={chosen.get('k')} "
-                    f"of {len(plan['candidates'])} candidates]"
+                    f" planned[{plan.chosen.label()} "
+                    f"of {len(plan.candidates)} candidates]"
                 )
             if record.get("streaming"):
                 line += f" streaming samples={record.get('samples_seen', 0)}"

@@ -251,6 +251,12 @@ class CohortRegistry:
     ) -> None:
         """Name an ordered list of distinct members, each passing
         ``contains``; redefinition replaces the previous list."""
+        if isinstance(members, str):
+            # Iterating it would define one member per character.
+            raise TypeError(
+                f"cohort {str(cohort)!r} needs a list of entry names, "
+                f"got the string {members!r}"
+            )
         names = _distinct([str(m) for m in members])
         if not names:
             raise ValueError("a cohort needs at least one member")

@@ -1,13 +1,13 @@
 """Disk persistence for :class:`~repro.serve.store.SynopsisStore` and
 sharded stores (:class:`~repro.serve.router.ShardRouter`).
 
-A persisted store is a directory in the **mmap layout** (schema 4):
-entries are grouped into segments of raw little-endian array data plus a
-per-segment manifest, indexed by a small top-level manifest::
+A persisted store is a directory in the **mmap layout** (schema 4 and
+up): entries are grouped into segments of raw little-endian array data
+plus a per-segment manifest, indexed by a small top-level manifest::
 
     store_dir/
-      manifest.json       # format tag, schema 4, segment index
-      segment-0000.json   # entry records for the segment (skeleton + offsets)
+      manifest.json       # format tag, schema 6, segment index
+      segment-0000.json   # entry records + shared plan table for the segment
       segment-0000.bin    # raw little-endian arrays, memory-mappable
       segment-0001.json
       segment-0001.bin
@@ -51,16 +51,17 @@ persisted fact rather than a hash recomputation.
 
 The manifest carries everything ``summary()`` / ``describe()`` report —
 family, k, options, error, version, streaming counters, and the
-serialized :class:`~repro.serve.planner.BuildPlan` decision record of
-auto-planned entries — so a store loads *lazily*: :func:`load_store`
-materializes only the manifest(s), and each entry's payload hydrates on
-its first query (or eagerly with ``lazy=False``).  Stores (schema 5) and
-sharded parents (schema 3) may additionally carry a ``"cohorts"`` table
-naming registered entry groups for group-by queries; saves without
-cohorts keep the previous schema stamp so older readers load them.  The
-table is written and validated by the owner's
+:class:`~repro.serve.planner.BuildPlan` decision record of auto-planned
+entries — so a store loads *lazily*: :func:`load_store` materializes
+only the manifest(s), and each entry's payload hydrates on its first
+query (or eagerly with ``lazy=False``).  A plan that entries share (a
+``register_many`` cohort's) is written once per segment, in the segment
+manifest's ``"plans"`` table (:class:`_PlanTable`).  Stores and sharded
+parents may additionally carry a ``"cohorts"`` table naming registered
+entry groups for group-by queries, written and validated by the owner's
 :class:`~repro.serve.cohorts.CohortRegistry` (``to_manifest`` /
 ``load_manifest``), the one form for stores and sharded parents alike.
+Every save stamps the current schema, whatever the store holds.
 
 Writes are crash-safe: everything lands in a temporary sibling directory
 first and the final directory is swapped in by rename, so a failed or
@@ -98,7 +99,7 @@ from .mmap_store import (
     read_segment_header,
     restore_payload as _restore_payload,
 )
-from .planner import BuildPlan
+from .planner import BuildPlan, CandidateSpec
 from .store import StoreEntry, SynopsisStore
 
 __all__ = [
@@ -111,6 +112,7 @@ __all__ = [
     "STORE_SCHEMA_VERSION",
     "StoreCorruptionError",
     "detect_store_format",
+    "entry_plan",
     "iter_manifest_entries",
     "learner_from_state",
     "load_sharded",
@@ -138,10 +140,14 @@ STORE_FORMAT = "repro-synopsis-store"
 # cleanly.
 # Schema 5 (fleet cohorts): the top-level manifest may carry a
 # ``"cohorts"`` table mapping cohort names to member-entry lists.  The
-# layout is otherwise schema 4, and a save with no cohorts still stamps
-# schema 4, so cohort-less stores remain loadable by older readers.
-STORE_SCHEMA_VERSION = 5
+# layout is otherwise schema 4.
+# Schema 6 (shared plans): each segment manifest carries a ``"plans"``
+# table and an entry's ``"plan"`` refers to a row of it (see _PlanTable);
+# schema 2-5 records carry the whole plan inline.  Every save stamps
+# STORE_SCHEMA_VERSION (up to schema 5, saves without cohorts stamped 4).
+STORE_SCHEMA_VERSION = 6
 MMAP_SCHEMA_VERSION = 4
+PLAN_TABLE_SCHEMA_VERSION = 6
 SHARDED_FORMAT = "repro-synopsis-store-sharded"
 # Sharded schema 2: the shard map carries a map version.  Schema-1 parent
 # manifests still load with version 0, and loaders older than the bump
@@ -151,7 +157,8 @@ SHARDED_FORMAT = "repro-synopsis-store-sharded"
 # and saves no longer write it.
 # Sharded schema 3: the parent manifest may carry a router-level
 # ``"cohorts"`` table (members may span shards).  Schema 1-2 manifests
-# load unchanged with no cohorts.
+# load unchanged with no cohorts.  Every sharded save stamps schema 3
+# (until store schema 6, saves without cohorts stamped 2).
 SHARDED_SCHEMA_VERSION = 3
 
 #: Entries per segment.  Small enough that selective loads of a
@@ -204,6 +211,68 @@ def _read_payload(path: Path) -> Dict[str, Any]:
 
 
 # --------------------------------------------------------------------- #
+# Shared plan tables (schema 6)
+# --------------------------------------------------------------------- #
+
+
+class _PlanTable:
+    """One segment's ``"plans"`` table: each plan its entries share, once.
+
+    A row is the :class:`BuildPlan` record of the first entry to use it.
+    An entry record's ``"plan"`` is ``{"row", "n", "chosen"}``: the row's
+    plan with the entry's own length and chosen candidate
+    (:meth:`BuildPlan.with_chosen`).  Plans share a row when they differ
+    at most there and share every other candidate object.  A row is
+    parsed once, on first use, so its entries share it in memory again.
+    """
+
+    def __init__(self, rows: Any = None) -> None:
+        self.rows: List[Any] = rows if isinstance(rows, list) else []
+        self._row_of: Dict[Tuple[Any, ...], int] = {}
+        self._parsed: Dict[int, BuildPlan] = {}
+
+    def ref(self, plan: BuildPlan) -> Dict[str, Any]:
+        """The entry record's ``"plan"`` for ``plan``, adding its row."""
+        others: List[Any] = [id(c) for c in plan.candidates]
+        others[plan.chosen_index] = None
+        key = (plan.budget, plan.objective, plan.families, plan.k_grid, *others)
+        row = self._row_of.get(key)
+        if row is None:
+            row = self._row_of[key] = len(self.rows)
+            self.rows.append(plan.to_dict())
+        return {"row": row, "n": plan.n, "chosen": plan.chosen.to_dict()}
+
+    def plan(self, ref: Dict[str, Any]) -> BuildPlan:
+        """The plan an entry record's ``"plan"`` refers to."""
+        row = int(ref["row"])
+        shared = self._parsed.get(row)
+        if shared is None:
+            if not 0 <= row < len(self.rows):
+                raise ValueError(
+                    f"plan row {row} outside the segment's "
+                    f"{len(self.rows)}-row plan table"
+                )
+            shared = self._parsed[row] = BuildPlan.from_dict(self.rows[row])
+        return shared.with_chosen(
+            CandidateSpec.from_dict(ref["chosen"]), int(ref["n"])
+        )
+
+
+def _decode_plan(payload: Any, table: Optional[_PlanTable]) -> Optional[BuildPlan]:
+    """An entry record's plan: a row reference on schema 6, inline before."""
+    if payload is None:
+        return None
+    return BuildPlan.from_dict(payload) if table is None else table.plan(payload)
+
+
+def entry_plan(record: Dict[str, Any]) -> Optional[BuildPlan]:
+    """The plan of an entry record from :func:`iter_manifest_entries`
+    (None when not auto-planned); a rotted record raises ``KeyError``,
+    ``TypeError`` or ``ValueError``."""
+    return _decode_plan(record.get("plan"), record.get("plan_table"))
+
+
+# --------------------------------------------------------------------- #
 # Save
 # --------------------------------------------------------------------- #
 
@@ -219,7 +288,9 @@ def _entry_payload(entry: StoreEntry, store_uid: str) -> Dict[str, Any]:
     return payload
 
 
-def _manifest_entry(entry: StoreEntry, payload: Any) -> Dict[str, Any]:
+def _manifest_entry(
+    entry: StoreEntry, payload: Any, plans: _PlanTable
+) -> Dict[str, Any]:
     record = {
         "name": entry.name,
         "version": entry.version,
@@ -240,7 +311,7 @@ def _manifest_entry(entry: StoreEntry, payload: Any) -> Dict[str, Any]:
         # The planner's decision record is manifest metadata (schema 2):
         # available without reading any payload, so a reloaded store can
         # explain and re-derive its choices without rebuilding candidates.
-        record["plan"] = entry.plan.to_dict()
+        record["plan"] = plans.ref(entry.plan)
     return record
 
 
@@ -274,16 +345,18 @@ def _write_store_contents(store: SynopsisStore, target: Path) -> None:
         manifest_name = f"segment-{seg_index:04d}.json"
         data_name = f"segment-{seg_index:04d}.bin"
         records = []
+        plans = _PlanTable()
         with SegmentWriter(target / data_name, store_uid) as writer:
             for name in chunk:
                 entry = store[name]
                 entry.hydrate()
                 spec = writer.add(_entry_payload(entry, store_uid))
-                records.append(_manifest_entry(entry, spec))
+                records.append(_manifest_entry(entry, spec, plans))
             data_bytes = writer.bytes_written
         segment_manifest = {
             "format": STORE_FORMAT + "-segment",
             "store_uid": store_uid,
+            "plans": plans.rows,
             "entries": records,
         }
         with open(target / manifest_name, "w", encoding="utf-8") as handle:
@@ -300,9 +373,7 @@ def _write_store_contents(store: SynopsisStore, target: Path) -> None:
     cohorts = store._cohorts.to_manifest(set(names))
     manifest = {
         "format": STORE_FORMAT,
-        # Cohort-less stores stamp schema 4 so readers predating the
-        # cohort bump keep loading them; the layout is identical.
-        "schema": STORE_SCHEMA_VERSION if cohorts else MMAP_SCHEMA_VERSION,
+        "schema": STORE_SCHEMA_VERSION,
         "layout": "mmap",
         "store_uid": store_uid,
         "segment_size": SEGMENT_SIZE,
@@ -339,8 +410,9 @@ def _atomic_publish(tmp: Path, path: Path, token: str) -> None:
 def save_store(store: SynopsisStore, path: Union[str, Path]) -> None:
     """Persist ``store`` to directory ``path``, atomically replacing it.
 
-    Writes the schema-4 segmented layout, whose payloads memory-map, in
-    segments of :data:`SEGMENT_SIZE` entries.
+    Writes the segmented layout (schema :data:`STORE_SCHEMA_VERSION`),
+    whose payloads memory-map, in segments of :data:`SEGMENT_SIZE`
+    entries.
 
     All payloads and the manifest are written to a temporary sibling
     directory first; only after every byte is on disk is the target swapped
@@ -403,13 +475,9 @@ def save_sharded(router, path: Union[str, Path]) -> None:
                 _write_store_contents(shard.store, tmp / shard_dir)
                 shard_dirs.append(shard_dir)
             cohorts = router._cohorts.to_manifest(router)
-            # Cohort-less routers stamp the previous schema so readers
-            # older than the cohort bump keep loading them.
             manifest = {
                 "format": SHARDED_FORMAT,
-                "schema": SHARDED_SCHEMA_VERSION
-                if cohorts
-                else SHARDED_SCHEMA_VERSION - 1,
+                "schema": SHARDED_SCHEMA_VERSION,
                 "num_shards": router.num_shards,
                 "shard_dirs": shard_dirs,
                 "shard_map": router.shard_map.to_dict(),
@@ -472,7 +540,7 @@ def read_manifest(path: Union[str, Path]) -> Dict[str, Any]:
     """Read and validate a store directory's manifest (no payload reads).
 
     For schema <= 3 the manifest carries the entry records directly
-    (``manifest["entries"]``); for schema 4 it carries the segment index
+    (``manifest["entries"]``); from schema 4 it carries the segment index
     (``manifest["segments"]``) and entry records live in per-segment
     manifests — use :func:`iter_manifest_entries` to read them.
     """
@@ -543,12 +611,14 @@ def iter_manifest_entries(
 ) -> List[Dict[str, Any]]:
     """Entry records of a store directory, in manifest order.
 
-    For schema <= 3 this is just ``manifest["entries"]``; for schema 4 it
-    reads the per-segment manifests — **only** the segments whose index
-    row names one of ``names`` when a filter is given, so inspecting one
-    entry of a million-entry store touches one segment.  Records from
-    the mmap layout carry an extra ``"segment"`` key naming their data
-    file (payload specs alone do not identify it).
+    For schema <= 3 this is just ``manifest["entries"]``; from schema 4
+    it reads the per-segment manifests — **only** the segments whose
+    index row names one of ``names`` when a filter is given, so
+    inspecting one entry of a million-entry store touches one segment.
+    Records from the mmap layout carry an extra ``"segment"`` key naming
+    their data file (payload specs alone do not identify it), and from
+    schema 6 a ``"plan_table"`` key holding their segment's shared plan
+    table; decode a record's plan with :func:`entry_plan`.
     """
     path = Path(path)
     if manifest is None:
@@ -573,6 +643,7 @@ def iter_manifest_entries(
         doc = _read_segment_manifest(
             path / segment["manifest"], segment["manifest"], store_uid
         )
+        plans = _segment_plan_table(manifest, doc)
         for record in doc["entries"]:
             if wanted is not None and (
                 not isinstance(record, dict) or record.get("name") not in wanted
@@ -580,8 +651,19 @@ def iter_manifest_entries(
                 continue
             if isinstance(record, dict):
                 record.setdefault("segment", segment["data"])
+                if plans is not None:
+                    record["plan_table"] = plans
             records.append(record)
     return records
+
+
+def _segment_plan_table(
+    manifest: Dict[str, Any], doc: Dict[str, Any]
+) -> Optional[_PlanTable]:
+    """A segment's shared plan table, or None where plans are inline."""
+    if manifest.get("schema", 0) < PLAN_TABLE_SCHEMA_VERSION:
+        return None
+    return _PlanTable(doc.get("plans"))
 
 
 def _install_payload(
@@ -705,7 +787,9 @@ def _frozen_meta(record: Dict[str, Any], result: BuildResult) -> Dict[str, Any]:
     return meta
 
 
-def _parse_record(record: Any, path: Path) -> Tuple[Any, ...]:
+def _parse_record(
+    record: Any, path: Path, plans: Optional[_PlanTable] = None
+) -> Tuple[Any, ...]:
     """Shared manifest-record parse: every rotted field is corruption."""
     try:
         name = record["name"]
@@ -713,12 +797,7 @@ def _parse_record(record: Any, path: Path) -> Tuple[Any, ...]:
         result = BuildResult.from_dict(record["result"])
         built_at_samples = int(record.get("built_at_samples", 0))
         frozen_meta = _frozen_meta(record, result)
-        plan_payload = record.get("plan")
-        plan = (
-            BuildPlan.from_dict(plan_payload)
-            if plan_payload is not None
-            else None
-        )
+        plan = _decode_plan(record.get("plan"), plans)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise StoreCorruptionError(
             f"invalid manifest entry in {path}: {exc}"
@@ -754,7 +833,7 @@ def load_store(
     mmap layout), so a truncated or partially-deleted store fails here
     with :exc:`StoreCorruptionError` rather than mid-query.
 
-    ``names`` restricts the load to the given entries; on a schema-4
+    ``names`` restricts the load to the given entries; on a segmented
     store only the segments holding those names are read or checked at
     all, so a selective load of a million-entry store is O(selection).
     ``store_cls`` lets :meth:`SynopsisStore.load` return subclasses.
@@ -875,9 +954,10 @@ def _load_mmap_entries(
             raise StoreCorruptionError(str(exc)) from exc
         doc = _read_segment_manifest(manifest_path, segment["manifest"], store_uid)
         reader = SegmentReader(data_path, store_uid=store_uid)
+        plans = _segment_plan_table(manifest, doc)
         for record in doc["entries"]:
             name, version, result, built_at_samples, frozen_meta, plan = (
-                _parse_record(record, path)
+                _parse_record(record, path, plans)
             )
             if name in seen:
                 raise StoreCorruptionError(

@@ -54,7 +54,7 @@ candidates.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -229,6 +229,10 @@ class CandidateSpec:
     explaining why skipping was safe).  Built candidates carry their
     measured metrics; ``build_ms`` is wall time, the one
     machine-dependent field.
+
+    Once :func:`plan_build` returns, a candidate is never mutated: the
+    members of a cohort share the representative's candidates by
+    reference (see :meth:`BuildPlan.with_chosen`).
     """
 
     family: str
@@ -366,6 +370,18 @@ class BuildPlan:
     @property
     def chosen(self) -> CandidateSpec:
         return self.candidates[self.chosen_index]
+
+    def with_chosen(self, chosen: CandidateSpec, n: int) -> "BuildPlan":
+        """This decision record for another series of length ``n`` whose
+        chosen build is ``chosen``.
+
+        The copy shares the budget, the grid and every non-chosen
+        candidate with this plan by reference; only ``n`` and the chosen
+        candidate are its own.  This is how a cohort holds one plan.
+        """
+        candidates = list(self.candidates)
+        candidates[self.chosen_index] = chosen
+        return replace(self, n=n, candidates=candidates, result=None)
 
     def built_count(self) -> int:
         return sum(1 for c in self.candidates if c.was_built)
@@ -716,23 +732,24 @@ def plan_build(
 def _member_plan(representative: BuildPlan, result: BuildResult) -> BuildPlan:
     """A cohort member's plan, derived from the representative's record.
 
-    The member reuses the representative's exploration (every candidate
-    line, chosen index, budget, grid) but its chosen candidate carries
-    the *member's own* measured build — size, error, pieces, wall time —
-    and ``plan.n`` is the member's length, so the record never claims
-    measurements the member's data did not produce.
+    The member shares the representative's exploration (every other
+    candidate line, chosen index, budget, grid) by reference, but its
+    chosen candidate carries the *member's own* measured build — size,
+    error, pieces, wall time — and ``plan.n`` is the member's length, so
+    the record never claims measurements the member's data did not
+    produce.
     """
-    plan = BuildPlan.from_dict(representative.to_dict())
-    chosen = plan.chosen
-    chosen.status = "built"
-    chosen.feasible = True
-    chosen.violations = []
-    chosen.stored_numbers = result.stored_numbers
-    chosen.nbytes = result.stored_numbers * BYTES_PER_NUMBER
-    chosen.error = result.error
-    chosen.build_ms = result.build_seconds * 1e3
-    chosen.pieces = result.pieces
-    plan.n = result.n
+    chosen = replace(
+        representative.chosen,
+        feasible=True,
+        violations=[],
+        stored_numbers=result.stored_numbers,
+        nbytes=result.stored_numbers * BYTES_PER_NUMBER,
+        error=result.error,
+        build_ms=result.build_seconds * 1e3,
+        pieces=result.pieces,
+    )
+    plan = representative.with_chosen(chosen, result.n)
     plan.result = result
     return plan
 
@@ -751,8 +768,9 @@ def plan_cohort(
     remaining member is built once with the representative's chosen
     ``(family, k, options)`` via :func:`build_synopsis_many` and, when
     its measured build satisfies the budget (``budget.violations`` is
-    empty), reuses the representative's plan with its own measured
-    metrics spliced into the chosen candidate.  Only members whose
+    empty), shares the representative's plan by reference, owning only
+    its length and a chosen candidate with its own measured metrics
+    (:meth:`BuildPlan.with_chosen`).  Only members whose
     reused build *violates* the budget escalate to their own full
     :func:`plan_build` probe — so a cohort of similar series costs one
     grid scan plus one build per member instead of one grid scan per

@@ -1,4 +1,4 @@
-"""Regenerate the schema-4 golden store fixture, ``golden_mmap_store/``.
+"""Regenerate the current-schema golden store, ``golden_schema6_store/``.
 
 Run from the repo root::
 
@@ -6,17 +6,25 @@ Run from the repo root::
 
 ``test_mmap.py`` asserts that current code loads the checked-in store
 into the answers recorded in ``golden_expected.json``, guarding the
-segmented layout against silent format drift, so only regenerate after
-a *deliberate* schema bump.
+segmented layout and its shared plan table (schema 6) against silent
+format drift, so only regenerate after a *deliberate* schema bump.  A
+bump first freezes the current fixture under its schema's name and then
+points :data:`STORE_DIR` at a new directory.
 
-``golden_store/`` (the same entries in the schema-3 npz layout),
-``golden_sharded_store/`` (the same entries persisted through a 2-shard
-``ShardRouter``, with ``wavelet`` and ``live`` pinned to shard 1),
-``golden_expected.json`` and ``golden_sharded_expected.json`` were
-written by the npz store writer, which the library no longer has.  They
-are frozen: ``test_persistence.py`` / ``test_shard.py`` load them to
-guard the npz reader and the sharded parent manifest for stores already
-on disk, and nothing regenerates them.
+Every other fixture is frozen, and nothing regenerates it:
+
+* ``golden_mmap_store/`` holds the same entries in the schema-4
+  segmented layout, with the auto-planned entry's plan inline in its
+  record, as every save up to schema 5 wrote it (this script wrote it
+  before the shared plan table);
+* ``golden_store/`` (the same entries in the schema-3 npz layout),
+  ``golden_sharded_store/`` (the same entries persisted through a
+  2-shard ``ShardRouter``, with ``wavelet`` and ``live`` pinned to
+  shard 1), ``golden_expected.json`` and ``golden_sharded_expected.json``
+  were written by the npz store writer, which the library no longer has.
+
+``test_persistence.py`` / ``test_shard.py`` / ``test_mmap.py`` load the
+frozen fixtures to guard the readers for stores already on disk.
 
 The input signal is exact rational arithmetic (no RNG, no libm), so the
 stores' contents are reproducible bit-for-bit across platforms.
@@ -35,7 +43,7 @@ from repro import (
     WindowedStreamLearner,
 )
 
-MMAP_STORE_DIR = Path(__file__).resolve().parent / "golden_mmap_store"
+STORE_DIR = Path(__file__).resolve().parent / "golden_schema6_store"
 
 N = 64
 
@@ -90,8 +98,8 @@ def build_store() -> SynopsisStore:
 
 
 def main() -> None:
-    build_store().save(MMAP_STORE_DIR)
-    print(f"wrote {MMAP_STORE_DIR}")
+    build_store().save(STORE_DIR)
+    print(f"wrote {STORE_DIR}")
 
 
 if __name__ == "__main__":

@@ -2,10 +2,15 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import EXPERIMENTS, main
+from repro.obs.metrics import Timer
+from repro.serve import cli
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 class TestDispatch:
@@ -72,6 +77,62 @@ class TestRunners:
             [(p.algorithm, p.n, p.time_ms, p.ratio_to_previous) for p in points],
         )
         assert open(csv_path).readline().startswith("algorithm")
+
+
+class TestServingCommands:
+    def test_cohort_query_times_the_cached_cohort(self, monkeypatch, capsys):
+        # 40 members exceed the engine's 32-table cache: a timed call that
+        # resolved the member list instead of the cohort name would
+        # rebuild member tables on every call.
+        engines, timed_misses = [], []
+
+        class RecordingEngine(cli.QueryEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self)
+
+        class MissCountingTimer(Timer):
+            def __enter__(self):
+                self.misses = engines[-1].cache_info()["misses"]
+                return super().__enter__()
+
+            def __exit__(self, *exc_info):
+                super().__exit__(*exc_info)
+                timed_misses.append(
+                    engines[-1].cache_info()["misses"] - self.misses
+                )
+
+        monkeypatch.setattr(cli, "QueryEngine", RecordingEngine)
+        monkeypatch.setattr(cli, "timer", MissCountingTimer)
+        argv = ["query", "--cohort", "40", "--n", "64", "--k", "4",
+                "--kind", "range_sum", "--num-queries", "20"]
+        assert main(argv) == 0
+        assert "cohort of 40 members" in capsys.readouterr().out
+        assert len(engines) == 1
+        assert timed_misses == [0]
+
+    def test_inspect_shows_the_plan_of_planned_entries(self, tmp_path, capsys):
+        store_dir = str(tmp_path / "auto")
+        argv = ["save", "--n", "2048", "--families", "merging,auto",
+                "--max-bytes", "300", "--store-dir", store_dir]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["inspect", store_dir, "--sort", "error"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        auto = next(line for line in lines if line.startswith("auto:"))
+        assert auto.endswith("planned[merging@k=8 of 49 candidates]")
+        merging = next(line for line in lines if line.startswith("merging:"))
+        assert "planned[" not in merging
+
+    def test_inspect_decodes_inline_and_shared_plans_alike(self, capsys):
+        # The frozen schema-4 golden carries its plan inline, the
+        # schema-6 one in its plan table: same plan, same suffix.
+        suffixes = []
+        for store in ("golden_mmap_store", "golden_schema6_store"):
+            assert main(["inspect", str(FIXTURES / store), "--name", "auto"]) == 0
+            line = capsys.readouterr().out.splitlines()[-1]
+            suffixes.append(line[line.index(" planned["):])
+        assert suffixes[0] == suffixes[1]
 
 
 @pytest.mark.slow

@@ -22,8 +22,9 @@ The load-bearing properties:
   2-shard routers, checked against a model after every step.
 * A ``ResidencyManager`` budget bounds resident payload bytes while every
   answer stays correct — cooled entries re-hydrate transparently.
-* Cohort definitions persist (schema bump) while cohort-less stores keep
-  stamping the previous schema so older readers still load them.
+* Cohort definitions persist, and every save stamps the current schema.
+  A cohort's members share one plan by reference, written once per
+  segment in its plan table, and reload sharing it again.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from repro import (
 from repro.__main__ import main
 from repro.obs import get_default_registry
 from repro.serve import cohorts as cohorts_module
+from repro.serve import planner as planner_module
 from repro.serve import (
     GROUP_QUERY_KINDS,
     SYNOPSIS_FAMILIES,
@@ -73,7 +75,6 @@ from repro.serve import (
     synopsis_to_dict,
 )
 from repro.serve.persistence import (
-    MMAP_SCHEMA_VERSION,
     SHARDED_SCHEMA_VERSION,
     STORE_SCHEMA_VERSION,
     load_store,
@@ -533,6 +534,10 @@ class TestGroupQueries:
             with pytest.raises(ValueError, match="'b' is listed more than once"):
                 target.define_cohort("dup", ["b", "a", "b"])
             assert "dup" not in target.cohorts()
+            # A bare string is no member list: iterated, "ab" is a and b.
+            with pytest.raises(TypeError, match="needs a list of entry names"):
+                target.define_cohort("chars", "ab")
+            assert "chars" not in target.cohorts()
 
 
 # --------------------------------------------------------------------- #
@@ -879,12 +884,12 @@ class TestResidency:
 
 
 class TestCohortPersistence:
-    def test_mmap_schema_bump_only_with_cohorts(self, tmp_path):
+    def test_schema_stamp_does_not_depend_on_cohorts(self, tmp_path):
         named = fleet_signals(4, seed=2)
         plain = SynopsisStore()
         plain.register_many(named, BuildBudget(max_bytes=400))
         plain.save(tmp_path / "plain")
-        assert read_manifest(tmp_path / "plain")["schema"] == MMAP_SCHEMA_VERSION
+        assert read_manifest(tmp_path / "plain")["schema"] == STORE_SCHEMA_VERSION
 
         withc = SynopsisStore()
         withc.register_many(named, BuildBudget(max_bytes=400), cohort="fleet")
@@ -959,6 +964,108 @@ class TestCohortPersistence:
 
 
 # --------------------------------------------------------------------- #
+# One plan per cohort: shared in memory, one plan-table row per segment
+# --------------------------------------------------------------------- #
+
+
+def shared_candidates(plan):
+    """The identities of every candidate but the chosen one."""
+    return tuple(
+        id(candidate)
+        for index, candidate in enumerate(plan.candidates)
+        if index != plan.chosen_index
+    )
+
+
+class TestSharedPlans:
+    def assert_one_row_per_shared_plan(self, router, path):
+        for shard in router.shards:
+            shard_dir = path / f"shard-{shard.index:04d}"
+            for segment in read_manifest(shard_dir)["segments"]:
+                doc = json.loads((shard_dir / segment["manifest"]).read_text())
+                plans = [shard.store[name].plan for name in segment["names"]]
+                shared = {shared_candidates(p) for p in plans if p is not None}
+                assert len(doc["plans"]) == len(shared)
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_mixed_store_plans_round_trip(self, tmp_path, monkeypatch, num_shards):
+        probes = []
+        plan_build = planner_module.plan_build
+
+        def recording_plan_build(*args, **kwargs):
+            plan = plan_build(*args, **kwargs)
+            probes.append((plan, plan.to_dict()))
+            return plan
+
+        monkeypatch.setattr(planner_module, "plan_build", recording_plan_build)
+        # As in test_plan_reuse_and_escalation_counters: the flat members
+        # ride the representative's lossless plan, the noisy one escalates.
+        flat = np.full(64, 3.0)
+        rng = np.random.default_rng(3)
+        noise = np.abs(rng.normal(2.0, 1.0, 64)) + 0.01
+        members = [(f"flat{i}", flat * (1.0 + i / 8)) for i in range(6)]
+        members.insert(3, ("noise", noise))
+        router = ShardRouter(num_shards=num_shards)
+        router.register_many(
+            members,
+            BuildBudget(max_bytes=300),
+            cohort="fleet",
+            families=("exact", "merging"),
+        )
+        (rep, rep_record), (escalated, escalated_record) = probes
+        assert router["flat0"].plan is rep
+        assert router["noise"].plan is escalated
+        assert rep.to_dict() == rep_record
+        assert escalated.to_dict() == escalated_record
+        for name, _ in members:
+            plan = router[name].plan
+            if name in ("flat0", "noise"):
+                continue
+            # The representative's other candidates, the very objects.
+            assert shared_candidates(plan) == shared_candidates(rep)
+            assert plan.chosen is not rep.chosen
+            assert plan.chosen.nbytes == router[name].result.stored_numbers * 8
+
+        router.register_auto("solo", noise[::-1].copy(), BuildBudget(max_bytes=200))
+        learner = StreamingHistogramLearner(n=64, k=4)
+        learner.extend(rng.integers(0, 64, 400))
+        live = router.register_stream_auto(
+            "live", learner, BuildBudget(max_bytes=400), families=("merging", "wavelet")
+        )
+        # A forced refresh keeps the plan, so the plan is older than the
+        # result it now sits beside.
+        router.refresh("live")
+        assert router["live"].plan is live.plan
+        assert router["live"].version == 1
+
+        router = router.reshard(num_shards + 1)
+        router.migrate(["flat2", "noise", "solo"], num_shards)
+        router = router.reshard(num_shards)
+
+        want = {name: plan_record(router[name]) for name in router.names()}
+        assert sum(record is not None for record in want.values()) == 9
+        first, second = tmp_path / "first", tmp_path / "second"
+        router.save(first)
+        self.assert_one_row_per_shared_plan(router, first)
+        loaded = ShardRouter.load(first)
+        assert {name: plan_record(loaded[name]) for name in want} == want
+        loaded.save(second)
+        self.assert_one_row_per_shared_plan(loaded, second)
+        again = ShardRouter.load(second)
+        assert {name: plan_record(again[name]) for name in want} == want
+        for shard in again.shards:
+            reused = {
+                shared_candidates(shard.store[name].plan)
+                for name in shard.store.names()
+                if name.startswith("flat")
+            }
+            assert len(reused) <= 1  # one plan per cohort per segment
+        if num_shards == 1:
+            doc = json.loads((second / "shard-0000" / "segment-0000.json").read_text())
+            assert len(doc["plans"]) == 4  # cohort, escalation, solo, live
+
+
+# --------------------------------------------------------------------- #
 # The cohort state machine
 # --------------------------------------------------------------------- #
 
@@ -977,6 +1084,11 @@ def machine_values(seed):
     """A mixed-sign series on the machine's one domain."""
     rng = np.random.default_rng(seed)
     return rng.normal(rng.uniform(-0.5, 2.0), rng.uniform(0.2, 2.0), MACHINE_N)
+
+
+def plan_record(entry):
+    """An entry's decision record as a dict, None when not auto-planned."""
+    return None if entry.plan is None else entry.plan.to_dict()
 
 
 def brute_force_sum(dense, a, b):
@@ -1119,11 +1231,13 @@ class CohortMachine(RuleBasedStateMachine):
             for kind, args in MACHINE_COHORT_QUERIES
         ]
         before = [self.answer(*query) for query in queries]
+        plans = {name: plan_record(self.target[name]) for name in self.versions}
         path = self.workdir / f"save-{self.saves}"
         self.saves += 1
         self.target.save(path)
         self.bind(type(self.target).load(path))
         assert [self.answer(*query) for query in queries] == before
+        assert {name: plan_record(self.target[name]) for name in plans} == plans
 
     @precondition(lambda self: self.groups)
     @rule(data=st.data())

@@ -182,15 +182,13 @@ def build_small_store():
 
 
 class TestMmapPersistence:
-    def test_default_save_is_schema_4(self, tmp_path):
-        # A cohort-less store stamps the schema-4 mmap format so older
-        # readers keep loading it; schema 5 (STORE_SCHEMA_VERSION) is
-        # reserved for stores that actually persist cohorts.
+    def test_every_save_stamps_the_current_schema(self, tmp_path):
+        # One stamp per save: a store with no cohort and no plan stamps
+        # the current schema too, not the segmented layout's first one.
         path = tmp_path / "store"
         build_small_store().save(path)
         manifest = read_manifest(path)
-        assert manifest["schema"] == MMAP_SCHEMA_VERSION == 4
-        assert STORE_SCHEMA_VERSION == MMAP_SCHEMA_VERSION + 1
+        assert manifest["schema"] == STORE_SCHEMA_VERSION == 6
         assert manifest["layout"] == "mmap"
         assert not list(path.glob("*.npz"))
 
@@ -308,19 +306,22 @@ class TestMmapPersistence:
 
 
 class TestGoldenMmapFixture:
+    """The frozen schema-4 golden: plans inline in their entry records."""
+
+    STORE = "golden_mmap_store"
+    SCHEMA = MMAP_SCHEMA_VERSION
+    ADVICE = "the frozen schema-4 golden fixture changed: restore it from git"
+
     @pytest.fixture(scope="class")
     def golden(self):
         with open(FIXTURES / "golden_expected.json", encoding="utf-8") as handle:
             expected = json.load(handle)
-        store = SynopsisStore.load(FIXTURES / "golden_mmap_store")
+        store = SynopsisStore.load(FIXTURES / self.STORE)
         return store, expected
 
     def test_schema_version_matches(self):
-        manifest = read_manifest(FIXTURES / "golden_mmap_store")
-        assert manifest["schema"] == MMAP_SCHEMA_VERSION, (
-            "mmap schema version bumped: regenerate the fixture with "
-            "tests/fixtures/make_golden_store.py"
-        )
+        manifest = read_manifest(FIXTURES / self.STORE)
+        assert manifest["schema"] == self.SCHEMA, self.ADVICE
         assert manifest["layout"] == "mmap"
 
     def test_summary_matches(self, golden):
@@ -373,6 +374,40 @@ class TestGoldenMmapFixture:
         entry.hydrate()
         assert entry.learner.samples_seen == 500
         assert entry.built_at_samples == 500
+
+
+class TestGoldenSchema6Fixture(TestGoldenMmapFixture):
+    """The current-schema golden, written by make_golden_store.py: the
+    same entries and answers, with the plan in the segment's plan table."""
+
+    STORE = "golden_schema6_store"
+    SCHEMA = STORE_SCHEMA_VERSION
+    ADVICE = (
+        "store schema bumped: freeze this fixture and point "
+        "tests/fixtures/make_golden_store.py at a new one"
+    )
+
+    def test_plan_lives_in_the_plan_table(self, golden):
+        store, _ = golden
+        doc = json.loads(
+            (FIXTURES / self.STORE / "segment-0000.json").read_text()
+        )
+        record = next(r for r in doc["entries"] if r["name"] == "auto")
+        assert set(record["plan"]) == {"row", "n", "chosen"}
+        assert len(doc["plans"]) == 1
+        # The same decision as the frozen inline record, up to wall time.
+        frozen = SynopsisStore.load(FIXTURES / "golden_mmap_store")
+        assert plan_fingerprint(store["auto"].plan) == plan_fingerprint(
+            frozen["auto"].plan
+        )
+
+
+def plan_fingerprint(plan):
+    """A plan's record without its wall-clock ``build_ms`` fields."""
+    record = plan.to_dict()
+    for candidate in record["candidates"]:
+        candidate.pop("build_ms")
+    return record
 
 
 # --------------------------------------------------------------------- #

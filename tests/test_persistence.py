@@ -819,7 +819,7 @@ class TestPersistenceCLI:
 
         assert main(["inspect", store_dir]) == 0
         out = capsys.readouterr().out
-        assert "repro-synopsis-store schema=4 entries=2 segments=1" in out
+        assert "repro-synopsis-store schema=6 entries=2 segments=1" in out
         assert "payload=segment-0000.bin" in out
 
         assert main(["load", store_dir]) == 0

@@ -578,10 +578,12 @@ class TestPlanPersistence:
         store = self.build_store()
         store.save(tmp_path / "store")
         # These tests rot the entry records of the store's one segment.
+        # An entry record keeps its own chosen candidate beside its row
+        # of the segment's shared plan table.
         manifest_path = tmp_path / "store" / "segment-0000.json"
         manifest = json.loads(manifest_path.read_text())
         record = next(r for r in manifest["entries"] if r.get("plan"))
-        chosen = record["plan"]["candidates"][record["plan"]["chosen_index"]]
+        chosen = record["plan"]["chosen"]
         chosen["build_ms"] = None
         manifest_path.write_text(json.dumps(manifest))
         loaded = SynopsisStore.load(tmp_path / "store")
@@ -601,7 +603,22 @@ class TestPlanPersistence:
         record = next(
             r for r in manifest["entries"] if r.get("plan") is not None
         )
-        record["plan"]["chosen_index"] = 999
+        manifest["plans"][record["plan"]["row"]]["chosen_index"] = 999
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreCorruptionError, match="invalid manifest entry"):
+            load_store(tmp_path / "store")
+
+    @pytest.mark.parametrize("row", [2, -1, "x", None])
+    def test_rotted_plan_table_index_is_corruption(self, tmp_path, row):
+        from repro import StoreCorruptionError, load_store
+
+        store = self.build_store()
+        store.save(tmp_path / "store")
+        manifest_path = tmp_path / "store" / "segment-0000.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert len(manifest["plans"]) == 2  # by-size and by-error
+        record = next(r for r in manifest["entries"] if r.get("plan"))
+        record["plan"]["row"] = row
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(StoreCorruptionError, match="invalid manifest entry"):
             load_store(tmp_path / "store")

@@ -688,8 +688,8 @@ class TestShardedPersistence:
         router, path = saved_sharded
         assert detect_store_format(path) == "sharded"
         manifest = read_sharded_manifest(path)
-        # No cohorts defined, so the parent stamps the pre-cohort schema.
-        assert manifest["schema"] == SHARDED_SCHEMA_VERSION - 1
+        # Every save stamps the current schema, cohorts or not.
+        assert manifest["schema"] == SHARDED_SCHEMA_VERSION
         assert manifest["num_shards"] == 3
         assert (path / "shard-0000" / "manifest.json").is_file()
         assert manifest["shard_map"]["assignments"] == (
@@ -843,11 +843,10 @@ class TestGoldenShardedFixture:
         return router, expected
 
     def test_schema_version_matches(self):
-        # The cohort-less golden stamps the pre-cohort schema (cohort
-        # bump: SHARDED_SCHEMA_VERSION is reserved for parents that
-        # persist a cohorts table).
+        # The frozen golden predates the cohort bump: schema 2, which
+        # current readers still load.
         manifest = read_sharded_manifest(FIXTURES / "golden_sharded_store")
-        assert manifest["schema"] == SHARDED_SCHEMA_VERSION - 1 == 2, (
+        assert manifest["schema"] == 2 < SHARDED_SCHEMA_VERSION, (
             "the frozen sharded golden fixture changed: restore it from git"
         )
 
@@ -923,7 +922,7 @@ class TestShardedCLI:
 
         assert main(["inspect", store_dir]) == 0
         out = capsys.readouterr().out
-        assert "repro-synopsis-store-sharded schema=2 shards=2" in out
+        assert "repro-synopsis-store-sharded schema=3 shards=2" in out
         assert "map merging -> shard" in out
         assert "shard-0000:" in out
 

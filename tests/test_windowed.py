@@ -631,7 +631,7 @@ class TestWindowedCLI:
         assert "windowed" in out and "window=1000" in out
         assert main(["inspect", store_dir]) == 0
         out = capsys.readouterr().out
-        assert "schema=4" in out and "window=1000" in out
+        assert "schema=6" in out and "window=1000" in out
         assert main(["load", store_dir]) == 0
         out = capsys.readouterr().out
         assert "window=1000" in out
