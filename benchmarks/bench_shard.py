@@ -115,12 +115,12 @@ def _build_workload():
         # "exact" keeps registration cheap while giving large prefix
         # tables (one piece per run), so query time dominates build time.
         store.register(name, values, family="exact", k=1)
-    engine = QueryEngine(store, cache_size=NUM_NAMES)
+    engine = QueryEngine(store)
     engine.warm()
 
     routers = {}
     for shards in SHARD_COUNTS:
-        router = ShardRouter(num_shards=shards, cache_size=NUM_NAMES)
+        router = ShardRouter(num_shards=shards)
         for name, values in signals.items():
             router.register(name, values, family="exact", k=1)
         router.warm()

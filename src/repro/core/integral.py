@@ -19,15 +19,49 @@ rounding by ``~t^(m+1)`` on long pieces.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import Any, List, Sequence, Union
 
 import numpy as np
 
 from .fitpoly import PolynomialFit
 
-__all__ = ["PiecewisePrefix"]
+__all__ = ["PiecewisePrefix", "as_count", "as_positions"]
 
 ArrayLike = Union[int, np.ndarray]
+
+
+def as_positions(x: Any) -> np.ndarray:
+    """``x`` as int64 positions, or :exc:`ValueError` for a value that is
+    not an integer.
+
+    Integer arrays pass with no check.  Anything else must hold finite
+    integral values (``3.0`` is position 3; ``1.5``, NaN and inf raise),
+    so a position is never silently truncated.
+    """
+    xs = np.asarray(x)
+    if xs.dtype.kind in "iu":
+        return xs.astype(np.int64, copy=False)
+    values = xs.astype(np.float64)
+    integral = np.isfinite(values) & (values == np.floor(values))
+    if not integral.all():
+        raise ValueError(
+            f"positions must be integers, got {values[~integral][0]}"
+        )
+    return values.astype(np.int64)
+
+
+def as_count(m: Any) -> int:
+    """A top-k size as an int, or :exc:`ValueError` unless ``m`` is one
+    integer >= 1."""
+    try:
+        count = as_positions(m)
+    except ValueError:
+        count = None
+    if count is None or count.ndim:
+        raise ValueError(f"m must be an integer, got {m!r}")
+    if count < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    return int(count)
 
 
 def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -23,9 +23,9 @@ into a queryable system:
   legacy per-entry npz stores still load).
 * :mod:`repro.serve.engine` — :class:`QueryEngine`, batched vectorized
   ``range_sum`` / ``range_mean`` / ``point_mass`` / ``cdf`` /
-  ``quantile`` / ``top_k_buckets`` evaluation over the store, backed by
-  an LRU cache of :class:`PrefixTable` prefix-integral tables (per-entry
-  hit/miss accounting, thread-safe).
+  ``quantile`` / ``top_k_buckets`` evaluation over the store, from the
+  one :class:`PrefixTable` prefix-integral table each store entry holds
+  for its current synopsis (per-entry hit/miss accounting, thread-safe).
 * :mod:`repro.serve.cohorts` — the one cohort registry a store and a
   router each hold: ordered, validated member lists, one cached
   :class:`CohortTable` per named cohort keyed by the members' version

@@ -274,30 +274,15 @@ def _load_router_or_exit(
     store_dir: str,
     lazy: bool = True,
     expect_shards: Optional[int] = None,
-    cache_size: Optional[int] = None,
-    layout: Optional[str] = None,
 ) -> ShardRouter:
-    """Load a plain or sharded store directory as a router, transparently.
-
-    Pass ``layout`` when the caller already detected the store format, so
-    one command reads the directory under a single consistent detection
-    (a concurrent save swapping the directory between two detects would
-    otherwise fail with a confusing layout mismatch).
-    """
-    if layout is None:
-        layout = _detect_format_or_exit(store_dir)
+    """Load a plain or sharded store directory as a router, transparently."""
+    layout = _detect_format_or_exit(store_dir)
     try:
         if layout == "sharded":
-            router = ShardRouter.load(
-                store_dir,
-                lazy=lazy,
-                **({} if cache_size is None else {"cache_size": cache_size}),
-            )
+            router = ShardRouter.load(store_dir, lazy=lazy)
         else:
-            store = SynopsisStore.load(store_dir, lazy=lazy)
             router = ShardRouter.from_stores(
-                [store],
-                **({} if cache_size is None else {"cache_size": cache_size}),
+                [SynopsisStore.load(store_dir, lazy=lazy)]
             )
     except (FileNotFoundError, StoreCorruptionError) as exc:
         raise SystemExit(f"error: {exc}")
@@ -454,7 +439,7 @@ def query_main(argv: Optional[Sequence[str]] = None) -> int:
         run = lambda: engine.quantile(args.dataset, q)
 
     try:
-        run()  # warm the prefix-table cache
+        run()  # build the entry's prefix table
         with timer() as timed:
             answers = run()
         elapsed = timed.seconds
@@ -610,18 +595,9 @@ def _print_answer(out, value) -> None:
 
 
 def _print_cache_info(out, info: dict) -> None:
-    print(
-        f"cache: hits={info['hits']} misses={info['misses']} "
-        f"evictions={info['evictions']} size={info['size']} "
-        f"capacity={info['capacity']}",
-        file=out,
-    )
+    print(f"cache: hits={info['hits']} misses={info['misses']}", file=out)
     for name, stats in info.get("entries", {}).items():
-        print(
-            f"  {name}: hits={stats['hits']} misses={stats['misses']} "
-            f"evictions={stats['evictions']}",
-            file=out,
-        )
+        print(f"  {name}: hits={stats['hits']} misses={stats['misses']}", file=out)
 
 
 def serve_main(
@@ -758,8 +734,7 @@ def serve_main(
                 print(_summary_line(meta), file=out)
                 stats = router.entry_cache_info(words[1])
                 print(
-                    f"  cache: hits={stats['hits']} misses={stats['misses']} "
-                    f"evictions={stats['evictions']}",
+                    f"  cache: hits={stats['hits']} misses={stats['misses']}",
                     file=out,
                 )
             elif cmd == "shards":
@@ -990,23 +965,8 @@ def load_main(argv: Optional[Sequence[str]] = None) -> int:
     _shards_argument(parser)
     args = parser.parse_args(argv)
 
-    # Size each shard's cache to the store so the validation pass keeps
-    # every table warm, however many entries one shard holds.
-    layout = _detect_format_or_exit(args.store_dir)
-    try:
-        if layout == "sharded":
-            parent = read_sharded_manifest(args.store_dir)
-            entry_count = len(parent["shard_map"].get("assignments", {}))
-        else:
-            entry_count = _manifest_entry_count(read_manifest(args.store_dir))
-    except (FileNotFoundError, StoreCorruptionError) as exc:
-        raise SystemExit(f"error: {exc}")
     router = _load_router_or_exit(
-        args.store_dir,
-        lazy=False,
-        expect_shards=args.shards,
-        cache_size=max(entry_count, 1),
-        layout=layout,
+        args.store_dir, lazy=False, expect_shards=args.shards
     )
     try:
         tables = router.warm()

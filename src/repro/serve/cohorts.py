@@ -37,6 +37,8 @@ from typing import (
 
 import numpy as np
 
+from ..core.integral import as_count, as_positions
+
 if TYPE_CHECKING:
     from .engine import PrefixTable
 
@@ -169,8 +171,8 @@ class CohortTable:
 
     def range_sum(self, a: ArrayLike, b: ArrayLike) -> Union[float, np.ndarray]:
         """``sum_{member} sum_{i in [a, b]} f_member(i)`` over closed ranges."""
-        aa = np.asarray(a, dtype=np.int64)
-        bb = np.asarray(b, dtype=np.int64)
+        aa = as_positions(a)
+        bb = as_positions(b)
         for n in self._domains:
             if np.any((aa < 0) | (bb >= n) | (aa > bb)):
                 raise ValueError(f"ranges must satisfy 0 <= a <= b < {n}")
@@ -202,8 +204,7 @@ class CohortTable:
         per table (``argpartition`` would reorder ties).  All members must
         share one domain length.
         """
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
+        m = as_count(m)
         if len(self._domains) > 1:
             raise ValueError(
                 f"group top-k needs matching domains, got n={self._domains[0]} "

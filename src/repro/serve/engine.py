@@ -10,9 +10,11 @@ boundaries plus ``O(d)`` vector arithmetic: ``O(B log k)`` total, instead
 of B Python-level synopsis evaluations.
 
 :class:`QueryEngine` answers batched queries against a
-:class:`~repro.serve.store.SynopsisStore`, holding the tables in an LRU
-cache keyed by ``(entry name, entry version)`` so a streaming refresh
-invalidates exactly the entry that changed.
+:class:`~repro.serve.store.SynopsisStore`.  Each store entry holds the
+one table of its current synopsis: the first read builds it, every later
+read gets it from the same store-lock snapshot that yields the version,
+and a re-register, refresh, cool or remove drops it with the synopsis.
+Two engines over one store therefore share one table per entry.
 
 The group-by kinds go through the store's
 :class:`~repro.serve.cohorts.CohortRegistry`, the registry a
@@ -20,26 +22,25 @@ The group-by kinds go through the store's
 stacked :class:`~repro.serve.cohorts.CohortTable` is cached, keyed by the
 members' version vector, so a warm group query builds no table.
 
-The engine is thread-safe: cache bookkeeping runs under an internal lock
-and every table lookup goes through the store's atomic
-``snapshot(name)``, so concurrent queries against a shard being refreshed
-always observe a consistent ``(version, table)`` pair.  The numeric
-evaluation itself runs outside the lock — NumPy releases the GIL in the
-hot kernels, which is what lets per-shard thread pools scale.
+The engine is thread-safe: every table lookup goes through the store's
+atomic ``table_snapshot(name)``, so concurrent queries against a shard
+being refreshed always observe a consistent ``(version, table)`` pair.
+Table builds and the numeric evaluation run outside every lock — NumPy
+releases the GIL in the hot kernels, which is what lets per-shard thread
+pools scale.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..baselines.wavelet import WaveletSynopsis
 from ..core.histogram import Histogram, flatten
-from ..core.integral import PiecewisePrefix
+from ..core.integral import PiecewisePrefix, as_count, as_positions
 from ..core.intervals import initial_partition
 from ..core.piecewise_poly import PiecewisePolynomial
 from ..core.sparse import SparseFunction
@@ -129,8 +130,13 @@ class PrefixTable:
 
     def range_sum(self, a: ArrayLike, b: ArrayLike) -> Union[float, np.ndarray]:
         """``sum_{i in [a, b]} f(i)`` over closed ranges (batched)."""
-        aa = np.asarray(a, dtype=np.int64)
-        bb = np.asarray(b, dtype=np.int64)
+        aa = as_positions(a)
+        bb = as_positions(b)
+        if aa.shape != bb.shape:
+            # Check and evaluate the ranges the broadcast pairs up, as the
+            # front end does for a stacked request: an empty side is no
+            # ranges at all, whatever the other side holds.
+            aa, bb = np.broadcast_arrays(aa, bb)
         if np.any((aa < 0) | (bb >= self.n) | (aa > bb)):
             raise ValueError(f"ranges must satisfy 0 <= a <= b < {self.n}")
         out = self.integral(bb + 1) - self.integral(aa)
@@ -153,7 +159,7 @@ class PrefixTable:
 
     def point_mass(self, x: ArrayLike) -> Union[float, np.ndarray]:
         """``f(x)`` (batched)."""
-        xs = np.asarray(x, dtype=np.int64)
+        xs = as_positions(x)
         if np.any((xs < 0) | (xs >= self.n)):
             raise ValueError(f"positions must lie in [0, {self.n})")
         out = self.integral(xs + 1) - self.integral(xs)
@@ -164,7 +170,7 @@ class PrefixTable:
         total = self.total_mass
         if total <= 0.0:
             raise ValueError("cdf requires positive total mass")
-        xs = np.asarray(x, dtype=np.int64)
+        xs = as_positions(x)
         if np.any((xs < 0) | (xs >= self.n)):
             raise ValueError(f"positions must lie in [0, {self.n})")
         out = self.integral(xs + 1) / total
@@ -238,8 +244,7 @@ class PrefixTable:
 
     def top_k_buckets(self, m: int) -> List[Tuple[int, int, float]]:
         """The ``m`` heaviest pieces as ``(left, right, mass)``, mass-descending."""
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
+        m = as_count(m)
         masses = self.piece_masses()
         order = np.argsort(-masses, kind="stable")[:m]
         lefts = self.prefix.lefts
@@ -286,12 +291,12 @@ class PrefixTable:
 
 
 class CacheStats:
-    """Counters for the engine's prefix-table cache.
+    """Hit and miss counters for the entries' prefix tables.
 
-    The engine keeps one engine-global instance plus one per entry name,
-    so cache behavior is reportable per entry (a hot entry hitting 99%
-    and a thrashing one evicting every query look identical in the
-    global numbers).
+    A hit is a read that found the table its entry holds; a miss is a
+    read that built one (one ``PrefixTable.from_synopsis`` call).  The
+    engine keeps one engine-global instance plus one per entry name, so
+    table traffic is reportable per entry.
 
     The counts live in :class:`~repro.obs.metrics.Counter` instruments —
     normally registered in the engine's
@@ -300,28 +305,19 @@ class CacheStats:
     standalone ``CacheStats()`` owns private counters.
     """
 
-    __slots__ = ("_hits", "_misses", "_evictions")
+    __slots__ = ("_hits", "_misses")
 
     def __init__(
         self,
         hits: int = 0,
         misses: int = 0,
-        evictions: int = 0,
-        counters: Optional[Tuple[Any, Any, Any]] = None,
+        counters: Optional[Tuple[Any, Any]] = None,
     ) -> None:
         if counters is not None:
-            self._hits, self._misses, self._evictions = counters
+            self._hits, self._misses = counters
         else:
-            self._hits, self._misses, self._evictions = (
-                Counter(),
-                Counter(),
-                Counter(),
-            )
-        for counter, initial in (
-            (self._hits, hits),
-            (self._misses, misses),
-            (self._evictions, evictions),
-        ):
+            self._hits, self._misses = Counter(), Counter()
+        for counter, initial in ((self._hits, hits), (self._misses, misses)):
             if initial:
                 counter.inc(initial)
 
@@ -331,9 +327,6 @@ class CacheStats:
     def miss(self) -> None:
         self._misses.inc()
 
-    def evicted(self) -> None:
-        self._evictions.inc()
-
     @property
     def hits(self) -> int:
         return self._hits.value
@@ -342,31 +335,21 @@ class CacheStats:
     def misses(self) -> int:
         return self._misses.value
 
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
-
     def __repr__(self) -> str:
-        return (
-            f"CacheStats(hits={self.hits}, misses={self.misses}, "
-            f"evictions={self.evictions})"
-        )
+        return f"CacheStats(hits={self.hits}, misses={self.misses})"
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
+        return {"hits": self.hits, "misses": self.misses}
 
 
 class QueryEngine:
     """Batched queries over a :class:`SynopsisStore`.
 
     All query methods are array-in/array-out NumPy operations; scalar
-    arguments return scalars.  Prefix tables are built lazily per store
-    entry and held in an LRU cache keyed by ``(name, version)``, so
-    refreshing a streaming-backed entry invalidates only that entry.
+    arguments return scalars.  The prefix table of an entry is built on
+    its first read and held by the store entry until its synopsis goes
+    (re-register, refresh, cool or remove), so every engine over the
+    store shares it; the engine only counts the hits and misses.
     """
 
     #: Every query kind the engine answers; each gets a latency histogram
@@ -386,15 +369,10 @@ class QueryEngine:
     def __init__(
         self,
         store: SynopsisStore,
-        cache_size: int = 32,
         registry: Optional[MetricsRegistry] = None,
         labels: Optional[Dict[str, Any]] = None,
     ) -> None:
-        if cache_size < 1:
-            raise ValueError(f"cache_size must be >= 1, got {cache_size}")
         self.store = store
-        self.cache_size = int(cache_size)
-        self._tables: "OrderedDict[Tuple[str, int], PrefixTable]" = OrderedDict()
         # Per-engine registry by default, so two engines never share
         # counters by accident; a ShardRouter injects one shared registry
         # with per-shard labels instead, making the fleet view mergeable.
@@ -410,11 +388,6 @@ class QueryEngine:
                 self.registry.counter(
                     "engine_cache_misses_total",
                     "prefix-table cache misses (table builds)",
-                    **self._labels,
-                ),
-                self.registry.counter(
-                    "engine_cache_evictions_total",
-                    "prefix-table cache evictions",
                     **self._labels,
                 ),
             )
@@ -439,11 +412,9 @@ class QueryEngine:
             )
             for kind in self.QUERY_KINDS
         }
-        # Guards the LRU dict and both stats maps; snapshot hydration,
-        # table construction, and table *evaluation* all happen outside
-        # it, so concurrent queries only serialize on cache bookkeeping,
-        # never on I/O or NumPy work.
-        self._lock = threading.RLock()
+        # Guards the per-entry stats map only; snapshots, table builds
+        # and evaluation all run outside it.
+        self._lock = threading.Lock()
         # Dropping a store entry must drop its per-entry stats too, or a
         # long-lived server churning entries leaks one CacheStats (and
         # one registry series) per removed name.
@@ -461,11 +432,6 @@ class QueryEngine:
                     ),
                     self.registry.counter(
                         "engine_entry_cache_misses_total", entry=name, **self._labels
-                    ),
-                    self.registry.counter(
-                        "engine_entry_cache_evictions_total",
-                        entry=name,
-                        **self._labels,
                     ),
                 )
             )
@@ -490,93 +456,63 @@ class QueryEngine:
     def forget(self, name: str) -> None:
         """Drop all per-entry state for a removed store entry.
 
-        Called by the store when ``remove(name)`` runs: cached prefix
-        tables for the name are discarded (not counted as evictions — the
-        entry is gone, not displaced), its per-entry ``CacheStats`` is
-        dropped, and its registry series are unregistered so exposition
-        does not accumulate series for dead entries.
+        Called by the store when ``remove(name)`` runs: the entry's
+        ``CacheStats`` is dropped and its registry series are
+        unregistered, so exposition does not accumulate series for dead
+        entries.  The table went with the store entry.
         """
         with self._lock:
-            for key in [k for k in self._tables if k[0] == name]:
-                del self._tables[key]
             self._entry_stats.pop(name, None)
         self.registry.drop(entry=name, **self._labels)
 
     def table(self, name: str) -> PrefixTable:
-        """The (cached) prefix table for store entry ``name``."""
+        """The prefix table for store entry ``name``."""
         return self.table_versioned(name)[1]
 
     def table_versioned(self, name: str) -> Tuple[int, PrefixTable]:
         """The entry's current ``(version, table)`` pair, atomically.
 
-        The pair comes from one atomic ``store.snapshot`` read, so the
-        returned table is guaranteed to have been built from the synopsis
-        that carried exactly that version — the consistency unit the
-        concurrent serving front end reports per answer.
-
-        The engine lock covers only cache bookkeeping; payload hydration
-        (inside ``snapshot``) and table construction run outside it, so a
-        miss on one entry never blocks a concurrent hit on another.  Two
-        threads missing on the same key may both build the table; the
-        second insert defers to the first, and both builds are counted as
-        the misses they genuinely were.
+        Version, synopsis and the entry's held table come from one
+        ``store.table_snapshot`` read, so the returned table is built from
+        the synopsis that carried exactly that version — the consistency
+        unit the concurrent serving front end reports per answer.  A
+        held table is a hit.  Otherwise the table is built outside every
+        lock (a miss) and offered back to the store, which keeps it only
+        if the synopsis it was built from is still the entry's: a build
+        from a stale snapshot answers its own query and is dropped.  Two
+        threads missing on one synopsis both build and both count a miss.
         """
-        version, synopsis = self.store.snapshot(name)
-        key = (name, version)
+        version, synopsis, table = self.store.table_snapshot(name)
         with self._lock:
             entry_stats = self._stats_for(name)
-            cached = self._tables.get(key)
-            if cached is not None:
-                self._tables.move_to_end(key)
-                self.stats.hit()
-                entry_stats.hit()
-                return version, cached
-            self.stats.miss()
-            entry_stats.miss()
-        table = PrefixTable.from_synopsis(synopsis)
-        with self._lock:
-            existing = self._tables.get(key)
-            if existing is not None:
-                return version, existing  # a racing build won; use its table
-            if any(k[0] == name and k[1] > version for k in self._tables):
-                # A refresh landed while we built: a fresher version is
-                # already cached, and no future snapshot will ask for ours
-                # again — answer from our consistent build but leave the
-                # cache to the newer table instead of clobbering it.
-                return version, table
-            # Drop tables for stale versions of the same entry immediately.
-            for old in [k for k in self._tables if k[0] == name]:
-                del self._tables[old]
-                self.stats.evicted()
-                entry_stats.evicted()
-            self._tables[key] = table
-            while len(self._tables) > self.cache_size:
-                evicted, _ = self._tables.popitem(last=False)
-                self.stats.evicted()
-                self._stats_for(evicted[0]).evicted()
+        if table is not None:
+            self.stats.hit()
+            entry_stats.hit()
             return version, table
+        self.stats.miss()
+        entry_stats.miss()
+        table = PrefixTable.from_synopsis(synopsis)
+        self.store.keep_table(name, synopsis, table)
+        return version, table
 
     def warm(self, names: Optional[List[str]] = None) -> int:
-        """Prefetch prefix tables for ``names`` (default: every entry).
+        """Build the prefix tables of ``names`` (default: every entry).
 
         Hydrates lazily-loaded entries as a side effect, so a store loaded
         from disk can pay its deserialization cost up front instead of on
-        the first query.  Returns the number of tables now resident (at
-        most ``cache_size``).
+        the first query.  Returns the number of entries warmed.
         """
-        for name in self.store.names() if names is None else names:
+        names = self.store.names() if names is None else names
+        for name in names:
             self.table(name)
-        return len(self._tables)
+        return len(names)
 
     def cache_info(self) -> dict:
-        """Engine-global cache counters plus the per-entry breakdown."""
+        """Engine-global hit/miss counters plus the per-entry breakdown."""
         with self._lock:
             return {
                 "hits": self.stats.hits,
                 "misses": self.stats.misses,
-                "evictions": self.stats.evictions,
-                "size": len(self._tables),
-                "capacity": self.cache_size,
                 "entries": {
                     name: stats.as_dict()
                     for name, stats in self._entry_stats.items()
@@ -584,7 +520,7 @@ class QueryEngine:
             }
 
     def entry_cache_info(self, name: str) -> Dict[str, int]:
-        """Hit/miss/eviction counters for one entry (zeros if never queried)."""
+        """Hit/miss counters for one entry (zeros if never queried)."""
         with self._lock:
             stats = self._entry_stats.get(name)
             return stats.as_dict() if stats is not None else CacheStats().as_dict()
@@ -688,7 +624,7 @@ class QueryEngine:
         self, names: List[str], m: int
     ) -> Tuple[List[Tuple[int, int, float]], Dict[str, int]]:
         """Heaviest merged-partition pieces of the pooled member set."""
-        return self._group("group_top_k", names, lambda t: t.top_k(int(m)))
+        return self._group("group_top_k", names, lambda t: t.top_k(m))
 
     def heavy_hitters(self, name: str, phi: float) -> List[Tuple[int, int]]:
         """Sliding-window ``phi``-heavy hitters of entry ``name``.

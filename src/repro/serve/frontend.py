@@ -187,7 +187,7 @@ class QueryResult:
 
 def _evaluate(table, kind: str, args: Tuple[Any, ...]):
     if kind == "top_k":
-        return table.top_k_buckets(int(args[0]))
+        return table.top_k_buckets(args[0])
     return getattr(table, kind)(*args)
 
 
@@ -523,8 +523,9 @@ class AsyncServingFrontend:
         cohort is answered from the router's cached cohort table.  The
         result's ``version`` is the per-member ``{name: version}`` dict,
         so a caller can attribute every contribution to a consistent
-        member snapshot.  Member request counters tick once per member,
-        mirroring what N individual reads would record.
+        member snapshot.  No member's request counter ticks: the answer
+        is evaluated here, on the front end's group job, not on any
+        member's shard.
         """
         try:
             value, versions = getattr(self.router, request.kind)(
@@ -534,12 +535,6 @@ class AsyncServingFrontend:
             return QueryResult(
                 index=index, name=request.name, kind=request.kind, error=str(exc)
             )
-        for member in versions:  # the resolved members, in member order
-            self.registry.counter(
-                "frontend_entry_requests_total",
-                "requests addressed to the entry",
-                entry=member,
-            ).inc()
         return QueryResult(
             index=index,
             name=request.name,

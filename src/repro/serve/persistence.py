@@ -1044,7 +1044,6 @@ def read_sharded_manifest(path: Union[str, Path]) -> Dict[str, Any]:
 def load_sharded(
     path: Union[str, Path],
     lazy: bool = True,
-    cache_size: int = 32,
     router_cls: Optional[type] = None,
 ):
     """Load a sharded store persisted by :func:`save_sharded`.
@@ -1080,9 +1079,7 @@ def load_sharded(
         stores.append(load_store(shard_path, lazy=lazy))
     cls = ShardRouter if router_cls is None else router_cls
     try:
-        router = cls.from_stores(
-            stores, shard_map=shard_map, cache_size=cache_size
-        )
+        router = cls.from_stores(stores, shard_map=shard_map)
     except ValueError as exc:
         raise StoreCorruptionError(
             f"inconsistent sharded store {path}: {exc}"

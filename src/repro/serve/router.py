@@ -14,7 +14,7 @@ The lock discipline that makes concurrent serving safe:
 
 * Queries take no router-level lock at all.  They go through the shard
   engine's ``table_versioned``, which reads a consistent
-  ``(version, synopsis)`` snapshot under the store's internal lock.
+  ``(version, table)`` snapshot under the store's internal lock.
   Group queries on a named cohort hold the router's
   :class:`~repro.serve.cohorts.CohortRegistry` lock only to look up or
   store the cohort's cached table; they read the members' versions under
@@ -213,7 +213,6 @@ class ShardRouter(CohortOwner):
     def __init__(
         self,
         num_shards: int = 1,
-        cache_size: int = 32,
         shard_map: Optional[ShardMap] = None,
         stores: Optional[Sequence[SynopsisStore]] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -230,7 +229,6 @@ class ShardRouter(CohortOwner):
                 f"{len(stores)} stores provided for {num_shards} shards"
             )
         self.shard_map = shard_map
-        self.cache_size = int(cache_size)
         # One registry for the whole router: each shard's store and
         # engine report into it under a ``shard=<index>`` label, so the
         # fleet view is one mergeable document instead of N disjoint
@@ -261,12 +259,7 @@ class ShardRouter(CohortOwner):
         return Shard(
             index=index,
             store=store,
-            engine=QueryEngine(
-                store,
-                cache_size=self.cache_size,
-                registry=self.registry,
-                labels=labels,
-            ),
+            engine=QueryEngine(store, registry=self.registry, labels=labels),
         )
 
     @classmethod
@@ -274,7 +267,6 @@ class ShardRouter(CohortOwner):
         cls,
         stores: Sequence[SynopsisStore],
         shard_map: Optional[ShardMap] = None,
-        cache_size: int = 32,
     ) -> "ShardRouter":
         """Adopt existing stores as shards (the persistence load path).
 
@@ -284,12 +276,7 @@ class ShardRouter(CohortOwner):
         """
         if not stores:
             raise ValueError("at least one store is required")
-        router = cls(
-            len(stores),
-            cache_size=cache_size,
-            shard_map=shard_map,
-            stores=list(stores),
-        )
+        router = cls(len(stores), shard_map=shard_map, stores=list(stores))
         for index, store in enumerate(stores):
             for name in store.names():
                 if shard_map is None:
@@ -532,12 +519,11 @@ class ShardRouter(CohortOwner):
         return totals
 
     def warm(self, names: Optional[Sequence[str]] = None) -> int:
-        """Prefetch prefix tables shard by shard; returns tables resident
-        across the whole router (including shards this call didn't touch)."""
+        """Build prefix tables shard by shard; returns the entries warmed."""
         groups = self.group_by_shard(self.names() if names is None else list(names))
-        for index, group in groups.items():
-            self.shards[index].engine.warm(group)
-        return sum(shard.engine.cache_info()["size"] for shard in self.shards)
+        return sum(
+            self.shards[index].engine.warm(group) for index, group in groups.items()
+        )
 
     def cache_info(self) -> Dict[str, Any]:
         """Aggregated cache counters plus the per-shard breakdown."""
@@ -548,9 +534,6 @@ class ShardRouter(CohortOwner):
         return {
             "hits": sum(info["hits"] for info in per_shard),
             "misses": sum(info["misses"] for info in per_shard),
-            "evictions": sum(info["evictions"] for info in per_shard),
-            "size": sum(info["size"] for info in per_shard),
-            "capacity": sum(info["capacity"] for info in per_shard),
             "shards": per_shard,
             "entries": entries,
         }
@@ -591,10 +574,10 @@ class ShardRouter(CohortOwner):
     def inner_product(self, name_a: str, name_b: str) -> float:
         """``<f_a, f_b>`` between two stored synopses, pairing across shards.
 
-        Each name's prefix table comes from its *own* shard's engine (so
-        both benefit from that shard's cache), and the closed-form
-        product runs on the caller's thread — no cross-shard locking, the
-        same consistency unit as two independent reads.
+        Each name's prefix table comes from its *own* shard's engine, and
+        the closed-form product runs on the caller's thread — no
+        cross-shard locking, the same consistency unit as two independent
+        reads.
         """
         table_a = self._shard_for_registered(name_a).engine.table(name_a)
         table_b = self._shard_for_registered(name_b).engine.table(name_b)
@@ -651,7 +634,7 @@ class ShardRouter(CohortOwner):
         self, names: Any, m: int
     ) -> Tuple[List[Tuple[int, int, float]], Dict[str, int]]:
         """Heaviest merged-partition pieces of the pooled member set."""
-        return self._group("group_top_k", names, lambda t: t.top_k(int(m)))
+        return self._group("group_top_k", names, lambda t: t.top_k(m))
 
     # ------------------------------------------------------------------ #
     # Live migration
@@ -701,12 +684,12 @@ class ShardRouter(CohortOwner):
     # Resharding: a deliberate migration
     # ------------------------------------------------------------------ #
 
-    def reshard(self, num_shards: int, cache_size: Optional[int] = None) -> "ShardRouter":
+    def reshard(self, num_shards: int) -> "ShardRouter":
         """Rebuild this router over ``num_shards`` shards.
 
         Entries are *moved*, not rebuilt: each keeps its synopsis,
-        learner, version, and version floor, so engine caches of the new
-        router behave exactly as if the entries had always lived there.
+        learner, version, version floor and prefix table, so the new
+        router serves them exactly as if they had always lived there.
         Sticky assignments that still name a live shard are preserved —
         growing the shard count moves nothing, shrinking it moves only
         the entries whose shard disappeared (re-derived from the new
@@ -714,11 +697,7 @@ class ShardRouter(CohortOwner):
         the rebalancer (or an operator) chose deliberately.  Cohorts name
         members, not shards, so they carry over unchanged.
         """
-        new = ShardRouter(
-            num_shards,
-            cache_size=self.cache_size if cache_size is None else cache_size,
-            registry=self.registry,
-        )
+        new = ShardRouter(num_shards, registry=self.registry)
         self._c_reshards.inc()
         for name in self.names():
             source = self.shard_of(name)
@@ -766,7 +745,7 @@ class ShardRouter(CohortOwner):
         save_sharded(self, path)
 
     @classmethod
-    def load(cls, path, lazy: bool = True, cache_size: int = 32) -> "ShardRouter":
+    def load(cls, path, lazy: bool = True) -> "ShardRouter":
         """Load a directory persisted by :meth:`save` / ``save_sharded``.
 
         Each shard store hydrates lazily (``lazy=True``), so a shard pays
@@ -774,4 +753,4 @@ class ShardRouter(CohortOwner):
         """
         from .persistence import load_sharded
 
-        return load_sharded(path, lazy=lazy, cache_size=cache_size, router_cls=cls)
+        return load_sharded(path, lazy=lazy, router_cls=cls)

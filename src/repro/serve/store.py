@@ -6,7 +6,7 @@ each entry couples a name with a built synopsis (any family from
 backed by a :class:`~repro.sampling.streaming.StreamingHistogramLearner`;
 absorbing samples through :meth:`SynopsisStore.extend` re-synopsizes the
 entry once the learner's refresh policy says the cached summary is stale,
-bumping the version so query-side caches invalidate exactly that entry.
+bumping the version and dropping exactly that entry's prefix table.
 
 Thread-safety contract (the sharded serving architecture's per-shard lock
 discipline): every mutation of the registry and of an entry's
@@ -18,6 +18,13 @@ Writers that perform multi-step read-modify-write sequences (``extend``'s
 absorb-then-maybe-refresh) must additionally be serialized among
 themselves by an external per-shard write lock; the store lock alone only
 guarantees reader consistency.
+
+Each entry also holds the :class:`~repro.serve.engine.PrefixTable` of its
+current synopsis.  The first reader builds it from a
+:meth:`SynopsisStore.table_snapshot` and offers it back through
+:meth:`SynopsisStore.keep_table`, which keeps it only while that synopsis
+is still the entry's; a re-register, refresh, cool or remove drops it
+with the synopsis.
 
 Named cohorts (ordered member lists for the group-by query kinds) and
 their cached stacked tables live in the
@@ -31,7 +38,18 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -50,6 +68,9 @@ from .planner import (
     plan_cohort,
     replan,
 )
+
+if TYPE_CHECKING:
+    from .engine import PrefixTable
 
 __all__ = [
     "StoreEntry",
@@ -110,6 +131,9 @@ class StoreEntry:
     frozen_meta: Optional[Dict[str, Any]] = field(
         default=None, repr=False, compare=False
     )
+    # The one prefix table of the current synopsis, kept by the first
+    # read (SynopsisStore.keep_table) and dropped with that synopsis.
+    table: Optional["PrefixTable"] = field(default=None, repr=False, compare=False)
     _hydrate_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -171,6 +195,7 @@ class StoreEntry:
                 return 0
             freed = self.resident_bytes
             self.result.synopsis = None
+            self.table = None
             self.hydrator = self.rehydrator
             return freed
 
@@ -232,8 +257,8 @@ class SynopsisStore(CohortOwner):
     ) -> None:
         self._entries: Dict[str, StoreEntry] = {}
         # Last version ever issued per name, surviving remove(): a name's
-        # (name, version) pairs must never repeat, or engine caches would
-        # serve a stale table after remove-then-re-register.
+        # (name, version) pairs must never repeat, or a cohort table keyed
+        # by versions would serve a stale member after remove-then-register.
         self._last_versions: Dict[str, int] = {}
         # Named cohorts for group-by queries and their cached stacked
         # tables, persisted with the store (manifest "cohorts" key).
@@ -326,8 +351,8 @@ class SynopsisStore(CohortOwner):
     ) -> StoreEntry:
         """Build a synopsis of ``data`` and store it under ``name``.
 
-        Re-registering an existing name replaces the synopsis and bumps the
-        version (so engine caches drop the stale table).
+        Re-registering an existing name replaces the entry, its synopsis
+        and its prefix table, and bumps the version.
         """
         with timer(self._h_register):
             result = build_synopsis(data, family, k, **options)
@@ -576,6 +601,7 @@ class SynopsisStore(CohortOwner):
             with self._lock:
                 before = entry.resident_bytes
                 entry.result = result
+                entry.table = None
                 entry.plan = plan
                 entry.version = self._last_versions[name] = entry.version + 1
                 entry.built_at_samples = entry.learner.samples_seen
@@ -589,7 +615,7 @@ class SynopsisStore(CohortOwner):
         The entry is re-synopsized only once the sample count has grown by
         the learner's ``refresh_factor`` since the last build, mirroring the
         learner's own amortized-O(1) policy; between refreshes queries keep
-        hitting the cached prefix table.
+        hitting the entry's prefix table.
         """
         entry = self[name]
         entry.hydrate()
@@ -656,8 +682,7 @@ class SynopsisStore(CohortOwner):
         if residency is not None:
             residency.discard(self, name)
         # Notify outside the store lock: a listener's forget() takes its
-        # own lock, and holding both here invites lock-order inversion
-        # against query paths that hold the engine lock while snapshotting.
+        # own lock, which is never nested under the store lock.
         for listener in listeners:
             listener.forget(name)
 
@@ -669,6 +694,15 @@ class SynopsisStore(CohortOwner):
         yield a version paired with the wrong synopsis.  Hydrates lazily
         loaded entries as a side effect.
         """
+        version, synopsis, _ = self.table_snapshot(name)
+        return version, synopsis
+
+    def table_snapshot(
+        self, name: str
+    ) -> Tuple[int, Any, Optional["PrefixTable"]]:
+        """:meth:`snapshot` plus the prefix table the entry holds for that
+        synopsis (None until a reader builds one and :meth:`keep_table`
+        stores it), all read under one store-lock acquisition."""
         entry = self[name]
         entry.hydrate()
         with self._lock:
@@ -676,7 +710,7 @@ class SynopsisStore(CohortOwner):
             # replaced by a re-register between lookup and lock.
             entry = self[name]
             entry.hydrate()  # idempotent; a replaced entry is already live
-            out = entry.version, entry.result.synopsis
+            out = entry.version, entry.result.synopsis, entry.table
         # Enforce the residency budget with no store lock held: eviction
         # re-acquires it, and the snapshot above already owns its synopsis
         # reference, so cooling the entry we just read is harmless.
@@ -684,6 +718,22 @@ class SynopsisStore(CohortOwner):
         if residency is not None:
             residency.enforce()
         return out
+
+    def keep_table(self, name: str, synopsis: Any, table: "PrefixTable") -> None:
+        """Hold ``table``, built from ``synopsis``, on entry ``name``.
+
+        Kept only while ``synopsis`` is still the entry's own: a table
+        built from a snapshot that a re-register, refresh, cool or remove
+        has since replaced is dropped, never held.
+        """
+        with self._lock:
+            entry = self._entries.get(name)
+            if (
+                entry is not None
+                and entry.table is None
+                and entry.result.synopsis is synopsis
+            ):
+                entry.table = table
 
     def versions(self, names: Sequence[str]) -> List[Optional[int]]:
         """The current version of each name (None if absent), read under

@@ -57,8 +57,10 @@ from repro import (
     QueryEngine,
     ResidencyManager,
     ShardRouter,
+    SparseFunction,
     StreamingHistogramLearner,
     SynopsisStore,
+    build_synopsis,
 )
 from repro.__main__ import main
 from repro.obs import get_default_registry
@@ -493,6 +495,36 @@ class TestGroupQueries:
         assert results[2].error is None
         assert set(results[2].version) == set(names[:3])
 
+    def test_warm_group_batches_tick_no_member_series(self):
+        """A group request is answered on the front end's group job, not
+        on any member's shard, so after the first (cold) batch, warm
+        group batches add nothing to any member's front-end or engine
+        per-entry series."""
+        router = ShardRouter(num_shards=2)
+        named = fleet_signals(40, seed=8)
+        router.register_many(named, BuildBudget(max_bytes=400), cohort="fleet")
+        batch = [
+            QueryRequest("group_range_sum", "fleet", (0, 47)),
+            QueryRequest("group_top_k", "fleet", (3,)),
+        ]
+
+        def member_series():
+            return {
+                (metric, tuple(sorted(labels.items()))): instrument.value
+                for metric, labels, instrument in router.registry.collect()
+                if "entry" in labels
+            }
+
+        with AsyncServingFrontend(router) as frontend:
+            first = [result.value for result in frontend.serve(batch)]
+            series = member_series()
+            for _ in range(3):
+                assert [result.value for result in frontend.serve(batch)] == first
+        assert member_series() == series
+        assert not any(
+            metric == "frontend_entry_requests_total" for metric, _ in series
+        )
+
     def test_group_rejects_unknown_member_and_empty_set(self):
         store = SynopsisStore()
         store.register("a", np.ones(16), family="merging", k=2)
@@ -566,9 +598,8 @@ def engine_counters(router):
 
 @pytest.fixture
 def cohort_router():
-    """Two shards whose 8-table engine caches are far smaller than the
-    100-member cohort."""
-    router = ShardRouter(num_shards=2, cache_size=8)
+    """Two shards serving a 100-member cohort."""
+    router = ShardRouter(num_shards=2)
     named = fleet_signals(100, seed=21)
     router.register_many(named, BuildBudget(max_bytes=400), cohort="fleet")
     return router, [name for name, _ in named]
@@ -620,12 +651,12 @@ class TestCohortTableCache:
 
     def test_engine_warm_named_cohort_builds_nothing(self, monkeypatch):
         """The single-store engine caches through the same registry: a
-        250-member cohort far larger than the engine's table cache is
-        stacked once, then answered with no table built."""
+        250-member cohort is stacked once, then answered with no table
+        built."""
         store = SynopsisStore()
         named = fleet_signals(250, seed=4)
         store.register_many(named, BuildBudget(max_bytes=400), cohort="fleet")
-        engine = QueryEngine(store, cache_size=8)
+        engine = QueryEngine(store)
         builds = count_calls(monkeypatch, PrefixTable, "from_synopsis")
         first = engine.group_range_sum("fleet", 0, 47)
         assert builds[0] == 250
@@ -800,7 +831,7 @@ class TestResidency:
         )
         manager = ResidencyManager(max_resident_bytes=budget)
         manager.watch(loaded)
-        served = QueryEngine(loaded, cache_size=2)
+        served = QueryEngine(loaded)
 
         rng = np.random.default_rng(0)
         # Skewed mix: a few hot members dominate, every member appears.
@@ -1071,6 +1102,11 @@ class TestSharedPlans:
 
 MACHINE_N = 24
 MACHINE_NAMES = ("a", "b", "c", "d", "e")
+#: The machine's one streaming entry, registered, extended and refreshed
+#: by its own rules; it may join cohorts, move and be removed like any.
+MACHINE_STREAM = "s"
+MACHINE_LIVE = MACHINE_NAMES + (MACHINE_STREAM,)
+MACHINE_STREAM_K = 3
 MACHINE_COHORTS = ("g1", "g2")
 MACHINE_BUDGET = BuildBudget(max_bytes=400)
 #: What a save-and-load asks of every cohort before and after.
@@ -1086,6 +1122,30 @@ def machine_values(seed):
     return rng.normal(rng.uniform(-0.5, 2.0), rng.uniform(0.2, 2.0), MACHINE_N)
 
 
+def stream_samples(seed, size):
+    """A sample batch whose mass sits in a random tail of the domain."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(rng.integers(0, MACHINE_N - 1), MACHINE_N, size)
+
+
+def stream_dense(counts):
+    """The reconstruction a streaming entry must serve after a build from
+    sample ``counts``: merging over their empirical distribution."""
+    positions = np.flatnonzero(counts)
+    empirical = SparseFunction(
+        MACHINE_N, positions, counts[positions] / counts.sum()
+    )
+    return build_synopsis(empirical, "merging", MACHINE_STREAM_K).synopsis.to_dense()
+
+
+def draw_ranges(data):
+    """Closed ranges on the machine's domain: scalars or 1-D arrays."""
+    points = st.integers(0, MACHINE_N - 1)
+    pairs = data.draw(st.lists(st.tuples(points, points), min_size=1, max_size=3))
+    a, b = np.sort(np.array(pairs), axis=1).T
+    return (a, b) if data.draw(st.booleans()) else (int(a[0]), int(b[0]))
+
+
 def plan_record(entry):
     """An entry's decision record as a dict, None when not auto-planned."""
     return None if entry.plan is None else entry.plan.to_dict()
@@ -1099,8 +1159,9 @@ def brute_force_sum(dense, a, b):
 
 class CohortMachine(RuleBasedStateMachine):
     """Random register / re-register / register_many / remove /
-    define_cohort / migrate / reshard / save-load sequences against a
-    model of dense reconstructions, versions and cohorts.
+    define_cohort / migrate / reshard / save-load / cool sequences, plus
+    a streaming entry's register_stream / extend / refresh, against a
+    model of dense reconstructions, versions, cohorts and stream counts.
 
     ``SHARDS = 0`` drives a :class:`SynopsisStore` through a
     :class:`QueryEngine`; otherwise a :class:`ShardRouter` with that many
@@ -1109,7 +1170,10 @@ class CohortMachine(RuleBasedStateMachine):
     versions only grow.  Every group answer equals the member-order
     reduction of the members' own tables byte for byte, reports the
     model's ``{member: version}`` and matches brute force on the model's
-    reconstructions; a reload answers every cohort identically.
+    reconstructions; a reload answers every cohort identically.  Every
+    single-entry answer equals a table built afresh from the entry's
+    current synopsis byte for byte (so a table kept across a refresh or
+    a cool fails), comes at the model's version and matches brute force.
     """
 
     SHARDS = 0
@@ -1122,13 +1186,15 @@ class CohortMachine(RuleBasedStateMachine):
         self.versions = {}  # live name -> version
         self.last = {}  # name -> last version ever issued
         self.groups = {}  # cohort -> members
+        # The live stream's (sample counts, samples at its last build).
+        self.stream = (np.zeros(MACHINE_N, dtype=np.int64), 0)
         self.bind(
             ShardRouter(num_shards=self.SHARDS) if self.SHARDS else SynopsisStore()
         )
 
     def bind(self, target):
         self.target = target
-        self.surface = target if self.SHARDS else QueryEngine(target, cache_size=4)
+        self.surface = target if self.SHARDS else QueryEngine(target)
 
     def teardown(self):
         shutil.rmtree(self.workdir, ignore_errors=True)
@@ -1179,7 +1245,56 @@ class CohortMachine(RuleBasedStateMachine):
             self.installed(entry)
         self.groups[cohort] = tuple(members)
 
-    @rule(name=st.sampled_from(MACHINE_NAMES))
+    @rule(seed=st.integers(0, 2**16), size=st.integers(1, 60))
+    def register_stream(self, seed, size):
+        samples = stream_samples(seed, size)
+        learner = StreamingHistogramLearner(MACHINE_N, k=MACHINE_STREAM_K)
+        learner.extend(samples)
+        self.installed(self.target.register_stream(MACHINE_STREAM, learner))
+        self.stream = (np.zeros(MACHINE_N, dtype=np.int64), 0)
+        self.absorbed(samples, rebuilt=True)
+
+    @precondition(lambda self: MACHINE_STREAM in self.versions)
+    @rule(seed=st.integers(0, 2**16), size=st.integers(1, 60))
+    def extend(self, seed, size):
+        samples = stream_samples(seed, size)
+        self.target.extend(MACHINE_STREAM, samples)
+        self.absorbed(samples)
+
+    @precondition(lambda self: MACHINE_STREAM in self.versions)
+    @rule()
+    def refresh(self):
+        self.target.refresh(MACHINE_STREAM)
+        self.absorbed(np.empty(0, dtype=np.int64), rebuilt=True)
+
+    def absorbed(self, samples, rebuilt=False):
+        """Fold a batch into the stream model; a build is due when forced
+        or once the samples have doubled since the last one (the
+        learner's refresh factor of 2)."""
+        counts, built_at = self.stream
+        counts = counts + np.bincount(samples, minlength=MACHINE_N)
+        if rebuilt or counts.sum() >= 2 * built_at:
+            if built_at:  # not the registration's own build
+                version = self.versions[MACHINE_STREAM] + 1
+                self.last[MACHINE_STREAM] = self.versions[MACHINE_STREAM] = version
+            built_at = int(counts.sum())
+            self.dense[MACHINE_STREAM] = stream_dense(counts)
+        self.stream = (counts, built_at)
+
+    @rule(name=st.sampled_from(MACHINE_LIVE))
+    def cool(self, name):
+        """Cool the entry on a loaded store or shard store: only an entry
+        hydrated from disk cools, and it keeps no table."""
+        if name not in self.versions:
+            return
+        store = self.target.shard_of(name).store if self.SHARDS else self.target
+        entry = store[name]
+        evictable = entry.evictable
+        assert (store.cool(name) > 0) == evictable
+        if evictable:
+            assert entry.table is None and not entry.is_hydrated
+
+    @rule(name=st.sampled_from(MACHINE_LIVE))
     def remove(self, name):
         if name not in self.versions:
             with pytest.raises(KeyError):
@@ -1196,7 +1311,7 @@ class CohortMachine(RuleBasedStateMachine):
 
     @rule(
         cohort=st.sampled_from(MACHINE_COHORTS),
-        members=st.lists(st.sampled_from(MACHINE_NAMES + ("ghost",)), max_size=4),
+        members=st.lists(st.sampled_from(MACHINE_LIVE + ("ghost",)), max_size=4),
     )
     def define_cohort(self, cohort, members):
         error = self.expected_error(members)
@@ -1208,7 +1323,7 @@ class CohortMachine(RuleBasedStateMachine):
         self.groups[cohort] = tuple(members)
 
     @precondition(lambda self: self.SHARDS)
-    @rule(name=st.sampled_from(MACHINE_NAMES), shard=st.integers(0, 2))
+    @rule(name=st.sampled_from(MACHINE_LIVE), shard=st.integers(0, 2))
     def migrate(self, name, shard):
         shard %= self.target.num_shards
         if name not in self.versions:
@@ -1230,13 +1345,18 @@ class CohortMachine(RuleBasedStateMachine):
             for cohort in sorted(self.groups)
             for kind, args in MACHINE_COHORT_QUERIES
         ]
+        reads = [(name, (0, MACHINE_N - 1)) for name in sorted(self.versions)]
         before = [self.answer(*query) for query in queries]
+        sums = [self.answer_entry(name, "range_sum", args) for name, args in reads]
         plans = {name: plan_record(self.target[name]) for name in self.versions}
         path = self.workdir / f"save-{self.saves}"
         self.saves += 1
         self.target.save(path)
         self.bind(type(self.target).load(path))
         assert [self.answer(*query) for query in queries] == before
+        assert [
+            self.answer_entry(name, "range_sum", args) for name, args in reads
+        ] == sums
         assert {name: plan_record(self.target[name]) for name in plans} == plans
 
     @precondition(lambda self: self.groups)
@@ -1268,10 +1388,51 @@ class CohortMachine(RuleBasedStateMachine):
         kind = data.draw(st.sampled_from(["group_range_sum", "group_top_k"]))
         if kind == "group_top_k":
             return kind, (data.draw(st.integers(1, 6), label="m"),)
-        points = st.integers(0, MACHINE_N - 1)
-        pairs = data.draw(st.lists(st.tuples(points, points), min_size=1, max_size=3))
-        a, b = np.sort(np.array(pairs), axis=1).T
-        return kind, (a, b) if data.draw(st.booleans()) else (int(a[0]), int(b[0]))
+        return kind, draw_ranges(data)
+
+    @precondition(lambda self: self.versions)
+    @rule(data=st.data())
+    def query_entry(self, data):
+        name = data.draw(st.sampled_from(sorted(self.versions)), label="name")
+        kind = data.draw(st.sampled_from(["range_sum", "cdf", "quantile"]))
+        if kind == "range_sum":
+            args = draw_ranges(data)
+        else:
+            values = (
+                st.floats(0.0, 1.0) if kind == "quantile"
+                else st.integers(0, MACHINE_N - 1)
+            )
+            points = data.draw(st.lists(values, min_size=1, max_size=3))
+            args = (np.array(points),) if data.draw(st.booleans()) else points[:1]
+        self.answer_entry(name, kind, args)
+
+    def answer_entry(self, name, kind, args):
+        """Run one single-entry read and check it against a fresh table
+        and the model; returns its outcome as exact bytes."""
+        fresh = PrefixTable.from_synopsis(self.target[name].synopsis)
+        try:
+            want = getattr(fresh, kind)(*args)
+        except ValueError as exc:  # no positive mass, or a non-monotone poly
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                getattr(self.surface, kind)(name, *args)
+            return str(exc)
+        value = getattr(self.surface, kind)(name, *args)
+        assert _exact(value) == _exact(want)
+        assert self.surface.table_versioned(name)[0] == self.versions[name]
+        prefix = np.concatenate(([0.0], np.cumsum(self.dense[name])))
+        if kind == "range_sum":
+            want = brute_force_sum(self.dense[name], *args)
+        elif kind == "cdf":
+            want = prefix[np.asarray(args[0]) + 1] / prefix[-1]
+        else:  # the first x whose prefix F(x + 1) reaches q * total
+            tolerance = 1e-9 * max(1.0, np.abs(prefix).max())
+            targets = np.atleast_1d(args[0]) * prefix[-1]
+            for x, target in zip(np.atleast_1d(value), targets):
+                assert prefix[x + 1] >= target - tolerance
+                assert np.all(prefix[1 : x + 1] < target + tolerance)
+            return _exact(value)
+        np.testing.assert_allclose(value, want, rtol=1e-9, atol=1e-9)
+        return _exact(value)
 
     def answer(self, kind, args, spec):
         """Run one group query and check it against the model; returns

@@ -1,10 +1,13 @@
 """Tests for the synopsis serving engine (repro.serve)."""
 
+import gc
 import io
 import os
 import subprocess
 import sys
+import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -293,24 +296,6 @@ class TestCache:
         info = engine.cache_info()
         assert info["misses"] == 1  # one table build, reused by every query
         assert info["hits"] == 2
-        assert info["size"] == 1
-
-    def test_eviction_lru(self):
-        store = SynopsisStore()
-        values = random_distribution(128)
-        for name in ("a", "b", "c"):
-            store.register(name, values, family="merging", k=4)
-        engine = QueryEngine(store, cache_size=2)
-        engine.range_sum("a", 0, 10)
-        engine.range_sum("b", 0, 10)
-        engine.range_sum("a", 0, 10)  # refresh a's recency
-        engine.range_sum("c", 0, 10)  # evicts b, the least recent
-        assert engine.cache_info()["evictions"] == 1
-        before = engine.cache_info()["misses"]
-        engine.range_sum("a", 0, 10)  # still cached
-        assert engine.cache_info()["misses"] == before
-        engine.range_sum("b", 0, 10)  # was evicted -> rebuild
-        assert engine.cache_info()["misses"] == before + 1
 
     def test_reregister_invalidates(self):
         store = SynopsisStore()
@@ -346,58 +331,158 @@ class TestCache:
             engine.range_sum("hot", 0, 10)
         engine.range_sum("cold", 0, 10)
         info = engine.cache_info()
-        assert info["entries"]["hot"] == {"hits": 4, "misses": 1, "evictions": 0}
-        assert info["entries"]["cold"] == {"hits": 0, "misses": 1, "evictions": 0}
+        assert info["entries"]["hot"] == {"hits": 4, "misses": 1}
+        assert info["entries"]["cold"] == {"hits": 0, "misses": 1}
         assert engine.entry_cache_info("hot")["hits"] == 4
-        assert engine.entry_cache_info("never-queried") == {
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-        }
+        assert engine.entry_cache_info("never-queried") == {"hits": 0, "misses": 0}
         # Global counters are exactly the per-entry sums.
         assert info["hits"] == sum(s["hits"] for s in info["entries"].values())
         assert info["misses"] == sum(s["misses"] for s in info["entries"].values())
 
     def test_stale_racing_build_does_not_clobber_newer_table(self):
-        """Regression: a table built from a stale snapshot (a refresh
-        landed mid-build) must not evict the newer version's cached table."""
+        """A table built from a stale snapshot (a re-register landed
+        mid-build) answers its own version, and the entry never holds it."""
         store = SynopsisStore()
         values = random_distribution(128)
         store.register("a", values, family="merging", k=4)
         engine = QueryEngine(store)
-        stale_snapshot = store.snapshot("a")  # (version 0, old synopsis)
+        stale = store.table_snapshot("a")  # (0, old synopsis, no table)
         store.register("a", np.roll(values, 11), family="merging", k=4)
-        engine.range_sum("a", 0, 10)  # caches (a, 1)
-        # Emulate the losing thread finishing its stale build now.
-        original = store.snapshot
-        store.snapshot = lambda name: stale_snapshot
+        # Emulate the losing thread finishing its build from the stale read.
+        store.table_snapshot = lambda name: stale
         try:
             version, table = engine.table_versioned("a")
         finally:
-            store.snapshot = original
-        assert version == 0  # answered from its own consistent snapshot...
-        info = engine.cache_info()
-        assert info["size"] == 1  # ...but the cache still holds only (a, 1)
-        before = info["misses"]
-        engine.range_sum("a", 0, 10)  # v1 table survived: pure hit
+            del store.table_snapshot
+        assert version == 0
+        assert table.range_sum(0, 10) == PrefixTable.from_synopsis(
+            stale[1]
+        ).range_sum(0, 10)
+        assert store["a"].table is None  # the stale build was not kept
+        fresh = engine.table("a")
+        assert store["a"].table is fresh
+        before = engine.cache_info()["misses"]
+        assert engine.table_versioned("a") == (1, fresh)  # a pure hit
         assert engine.cache_info()["misses"] == before
 
-    def test_per_entry_evictions_attributed_to_victim(self):
+    def test_each_table_is_built_once(self, monkeypatch):
+        """Reading every entry of a 250-entry store twice builds each
+        entry's table once: the entry holds it, so there is no capacity
+        to outgrow."""
         store = SynopsisStore()
-        values = random_distribution(128)
-        for name in ("a", "b", "c"):
-            store.register(name, values, family="merging", k=4)
-        engine = QueryEngine(store, cache_size=2)
+        for i in range(250):
+            store.register(
+                f"w{i}", random_distribution(48, seed=i), family="wavelet", k=8
+            )
+        engine = QueryEngine(store)
+        builds = []
+        build = PrefixTable.from_synopsis.__func__
+
+        def counting(cls, synopsis):
+            builds.append(synopsis)
+            return build(cls, synopsis)
+
+        monkeypatch.setattr(PrefixTable, "from_synopsis", classmethod(counting))
+        for _ in range(2):
+            for name in store.names():
+                engine.range_sum(name, 0, 47)
+        assert len(builds) == 250
+        assert engine.cache_info()["misses"] == 250
+        assert engine.cache_info()["hits"] == 250
+
+    def test_cool_releases_the_table(self, tmp_path):
+        """Cooling an entry (in no cohort) drops its table with its
+        synopsis: nothing keeps the table's arrays alive."""
+        store = SynopsisStore()
+        store.register("a", random_distribution(64), family="wavelet", k=8)
+        store.save(tmp_path / "store")
+        loaded = SynopsisStore.load(tmp_path / "store")
+        engine = QueryEngine(loaded)
         engine.range_sum("a", 0, 10)
-        engine.range_sum("b", 0, 10)
-        engine.range_sum("c", 0, 10)  # evicts a, the least recent
-        info = engine.cache_info()
-        assert info["entries"]["a"]["evictions"] == 1
-        assert info["entries"]["b"]["evictions"] == 0
-        # A version bump's stale-table eviction is charged to the entry too.
-        store.register("b", np.roll(values, 5), family="merging", k=4)
-        engine.range_sum("b", 0, 10)
-        assert engine.entry_cache_info("b")["evictions"] == 1
+        lefts = weakref.ref(engine.table("a").prefix.lefts)
+        assert loaded.cool("a") > 0
+        gc.collect()
+        assert lefts() is None
+        assert loaded["a"].table is None
+        engine.range_sum("a", 0, 10)  # rehydrates and builds anew
+        assert engine.cache_info()["misses"] == 2
+
+
+    def test_tables_stay_current_under_concurrent_writes(self, tmp_path):
+        """Readers on more threads than cores race a writer that cools and
+        re-registers entries: every answer equals the table of the
+        synopsis that carried its version, and no entry is left holding
+        a table of a synopsis it no longer has."""
+        names = [f"e{i}" for i in range(4)]
+        store = SynopsisStore()
+        for i, name in enumerate(names):
+            values = random_distribution(64, seed=i)
+            store.register(name, values, family="merging", k=4)
+        store.save(tmp_path / "store")
+        loaded = SynopsisStore.load(tmp_path / "store")
+        engine = QueryEngine(loaded)
+        reference = {
+            (name, 0): PrefixTable.from_synopsis(loaded[name].synopsis)
+            for name in names
+        }
+        a, b = np.arange(0, 60, 3), np.arange(3, 63, 3)
+        stop = threading.Event()
+        answers, failures = [], []
+
+        def writer():
+            rng = np.random.default_rng(1)
+            try:
+                while not stop.is_set():
+                    name = names[int(rng.integers(len(names)))]
+                    if rng.random() < 0.7:
+                        loaded.cool(name)
+                        continue
+                    values = random_distribution(64, seed=int(rng.integers(1000)))
+                    entry = loaded.register(name, values, family="merging", k=4)
+                    reference[(name, entry.version)] = PrefixTable.from_synopsis(
+                        entry.synopsis
+                    )
+            except Exception as exc:  # pragma: no cover - fails the test
+                failures.append(exc)
+
+        def reader(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                while not stop.is_set():
+                    name = names[int(rng.integers(len(names)))]
+                    version, table = engine.table_versioned(name)
+                    answers.append((name, version, table.range_sum(a, b)))
+            except Exception as exc:  # pragma: no cover - fails the test
+                failures.append(exc)
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(seed,)) for seed in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(1.0)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+        assert len({version for _, version, _ in answers}) > 1
+        for name, version, value in answers:
+            np.testing.assert_array_equal(
+                value, reference[(name, version)].range_sum(a, b)
+            )
+        for name in names:
+            entry = loaded[name]
+            if entry.table is not None:
+                np.testing.assert_array_equal(
+                    entry.table.range_sum(a, b),
+                    PrefixTable.from_synopsis(entry.result.synopsis).range_sum(a, b),
+                )
 
 
 # --------------------------------------------------------------------- #
@@ -433,15 +518,6 @@ class TestStreaming:
         after = engine.cdf("live", 49)
         assert after < 0.5
         assert engine.cache_info()["misses"] == 2  # old table invalidated
-
-    def test_extend_refreshes_lazily(self):
-        rng, learner = self.make_stream()
-        store = SynopsisStore()
-        store.register_stream("live", learner)
-        store.extend("live", rng.integers(0, 50, 10))  # below refresh factor
-        assert store["live"].version == 0
-        store.extend("live", rng.integers(0, 50, 5000))  # doubling -> rebuild
-        assert store["live"].version == 1
 
     def test_refresh_non_stream_raises(self):
         store = SynopsisStore()

@@ -425,6 +425,25 @@ class TestFrontend:
         assert results[0].ok and results[2].ok
         assert not results[1].ok
 
+    def test_empty_request_answers_like_one_at_a_time(self, frontend, pair):
+        # An empty side broadcasts to no ranges: stacked into a group or
+        # answered alone, (empty, out-of-range scalar) is an empty answer.
+        _, router = pair
+        empty = np.array([], dtype=np.float64)
+        requests = [
+            QueryRequest("range_sum", NAMES[0], (0, 23)),
+            QueryRequest("range_sum", NAMES[0], (empty, 240)),
+            QueryRequest("range_mean", NAMES[0], (-1, empty)),
+        ]
+        results = frontend.serve(requests)
+        table = router.table_versioned(NAMES[0])[1]
+        for request, result in zip(requests, results):
+            assert result.ok, result.error
+            alone = getattr(table, request.kind)(*request.args)
+            assert type(result.value) is type(alone)
+            assert np.array_equal(result.value, alone)
+        assert results[1].value.shape == results[2].value.shape == (0,)
+
     def test_ragged_argument_fails_alone(self, frontend, pair):
         # A ragged nested list has no ndim: it must fail as its own
         # request instead of failing the whole batch.
@@ -483,6 +502,73 @@ class TestFrontend:
             before, after = asyncio.run(scenario(fe))
         assert before.version == 0
         assert after.version == router["live"].version >= 2
+
+
+class TestIntegerPositions:
+    """A position or a top-k size that is not an integer fails at the
+    boundary instead of being truncated; integral floats still work."""
+
+    def test_engine_and_router(self, pair):
+        name = NAMES[0]
+        for target in pair:
+            calls = [
+                lambda bad: target.range_sum(name, bad, 3),
+                lambda bad: target.range_sum(name, 0, np.array([2, bad])),
+                lambda bad: target.range_mean(name, 1, bad),
+                lambda bad: target.cdf(name, bad),
+                lambda bad: target.point_mass(name, bad),
+            ]
+            for bad in (1.5, 2.9, 0.99, float("nan"), float("inf")):
+                for call in calls:
+                    with pytest.raises(ValueError, match="positions must be integers"):
+                        call(bad)
+            assert target.range_sum(name, 1.0, 3.0) == target.range_sum(name, 1, 3)
+            assert target.cdf(name, np.array([2.0])) == target.cdf(name, [2])
+            assert target.point_mass(name, 0.0) == target.point_mass(name, 0)
+            for m in (2.7, float("nan"), [2]):
+                with pytest.raises(ValueError, match="m must be an integer"):
+                    target.top_k_buckets(name, m)
+            assert target.top_k_buckets(name, 3.0) == target.top_k_buckets(name, 3)
+
+    def test_group_kinds(self, pair):
+        members = NAMES[:3]
+        for target in pair:
+            with pytest.raises(ValueError, match="positions must be integers"):
+                target.group_range_sum(members, 1.5, 3)
+            with pytest.raises(ValueError, match="positions must be integers"):
+                target.group_range_mean(members, 0, np.array([3.0, np.nan]))
+            with pytest.raises(ValueError, match="m must be an integer"):
+                target.group_top_k(members, 2.7)
+            assert target.group_range_sum(members, 1.0, 3.0) == (
+                target.group_range_sum(members, 1, 3)
+            )
+            assert target.group_top_k(members, 2.0) == target.group_top_k(members, 2)
+
+    def test_coalesced_frontend_group_fails_only_the_offender(self, pair, frontend):
+        engine, _ = pair
+        name = NAMES[0]
+        requests = [
+            QueryRequest("range_sum", name, (1, 3)),
+            QueryRequest("range_sum", name, (1.5, 3)),
+            QueryRequest("range_sum", name, (2.0, 9)),
+            QueryRequest("cdf", name, (2,)),
+            QueryRequest("cdf", name, (np.array([2.9, 3.0]),)),
+            QueryRequest("cdf", name, (np.array([4, 5]),)),
+            QueryRequest("top_k", name, (2.7,)),
+            QueryRequest("group_top_k", ",".join(NAMES[:2]), (2.7,)),
+        ]
+        results = frontend.serve(requests)
+        assert [result.ok for result in results] == [
+            True, False, True, True, False, True, False, False
+        ]
+        assert results[0].value == engine.range_sum(name, 1, 3)
+        assert results[2].value == engine.range_sum(name, 2, 9)
+        assert results[3].value == engine.cdf(name, 2)
+        np.testing.assert_array_equal(results[5].value, engine.cdf(name, [4, 5]))
+        assert results[1].error == "positions must be integers, got 1.5"
+        assert results[4].error == "positions must be integers, got 2.9"
+        assert results[6].error == "m must be an integer, got 2.7"
+        assert results[7].error == "m must be an integer, got 2.7"
 
 
 # --------------------------------------------------------------------- #
@@ -976,8 +1062,8 @@ class TestShardedCLI:
         assert set(ShardRouter.load(target).names()) == {"merging", "wavelet"}
 
     def test_load_keeps_every_table_warm_on_large_stores(self, tmp_path, capsys):
-        # Regression: load must size each shard's cache to the store, so
-        # validation of a >32-entry store does not silently evict.
+        # Regression: every entry of a >32-entry store keeps its table
+        # after the validation pass.
         store = SynopsisStore()
         for i in range(40):
             store.register(f"e{i:02d}", signal(32, seed=i), family="exact", k=1)
