@@ -7,14 +7,15 @@ one-engine deployment can — request at a time, paying the Python dispatch
 price per request.  The **sharded front end**
 (:class:`repro.serve.frontend.AsyncServingFrontend`) groups the same
 requests by ``(name, kind)`` in one pass, routes each group once, and
-answers each group with one vectorized engine call.
+answers all of a shard job's requests of one kind with one call of the
+stacked ``PrefixTable``.
 
 Two effects add up:
 
 * **Columnar batches** amortize per-request dispatch across every request
-  that hits the same entry — a pure architecture win that holds even on
-  one core.  Scalar requests pack into one argument column per group
-  with no NumPy call per request.
+  of a shard job — a pure architecture win that holds even on one core.
+  Scalar requests pack into one argument column per kind with no NumPy
+  call per request.
 * **Shard parallelism**: a batch whose shard jobs each carry at least
   ``FAN_OUT_POINTS`` query points runs one pool job per shard, and NumPy
   releases the GIL in the hot kernels, so the shards' kernels overlap on

@@ -5,8 +5,15 @@ degree-0 case, a Haar reconstruction is piecewise constant), so its prefix
 integral ``F(x) = sum_{i < x} f(i)`` decomposes into cumulative per-piece
 masses plus a within-piece partial sum — itself a polynomial of degree
 ``d + 1`` in the offset ``t = x - left_u``.  :class:`PiecewisePrefix` is
-that table: one ``searchsorted`` over the ``k`` piece boundaries plus a
-Horner evaluation answers a batch of B prefix queries in ``O(B log k)``.
+that table for one function.
+
+:class:`PrefixStack` is the one evaluator of such tables.  It stacks the
+tables of one or more functions with per-entry key offsets, so one
+``searchsorted`` over the stacked piece boundaries plus one Horner pass
+answers a batch of B (entry, position) pairs in ``O(B log K)`` for ``K``
+stacked pieces.  One table is the one-entry stack
+(:meth:`PiecewisePrefix.as_stack`); the serving engine's ``PrefixTable``
+and ``CohortTable`` stack many.
 
 Numerical design: the within-piece partial-sum polynomial is stored in the
 scaled variable ``s = 2 t / |I_u| - 1`` in ``[-1, 1]``, fitted by exact
@@ -19,15 +26,21 @@ rounding by ``~t^(m+1)`` on long pieces.
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Union
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
 import numpy as np
 
-from .fitpoly import PolynomialFit
+if TYPE_CHECKING:  # fitpoly imports sparse, which imports this module
+    from .fitpoly import PolynomialFit
 
-__all__ = ["PiecewisePrefix", "as_count", "as_positions"]
+__all__ = ["PiecewisePrefix", "PrefixStack", "as_count", "as_positions", "nonintegral"]
 
 ArrayLike = Union[int, np.ndarray]
+
+#: Points a :class:`PrefixStack` evaluates per vectorized pass, so each
+#: temporary of a pass stays near 32 KB however many points a call holds
+#: (a serving front end stacks a shard job's requests into one call).
+_POINTS_PER_PASS = 4096
 
 
 def as_positions(x: Any) -> np.ndarray:
@@ -42,12 +55,16 @@ def as_positions(x: Any) -> np.ndarray:
     if xs.dtype.kind in "iu":
         return xs.astype(np.int64, copy=False)
     values = xs.astype(np.float64)
-    integral = np.isfinite(values) & (values == np.floor(values))
-    if not integral.all():
-        raise ValueError(
-            f"positions must be integers, got {values[~integral][0]}"
-        )
+    bad = nonintegral(values)
+    if bad.any():
+        raise ValueError(f"positions must be integers, got {values[bad][0]}")
     return values.astype(np.int64)
+
+
+def nonintegral(values: np.ndarray) -> np.ndarray:
+    """Where float ``values`` are not finite integers (the positions
+    :func:`as_positions` rejects)."""
+    return ~(np.isfinite(values) & (values == np.floor(values)))
 
 
 def as_count(m: Any) -> int:
@@ -62,14 +79,6 @@ def as_count(m: Any) -> int:
     if count < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     return int(count)
-
-
-def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Evaluate per-row polynomials ``coeffs[..., m] s^m`` at ``s``."""
-    out = coeffs[..., -1].copy() if coeffs.shape[-1] > 1 else coeffs[..., -1]
-    for m in range(coeffs.shape[-1] - 2, -1, -1):
-        out = out * s + coeffs[..., m]
-    return out
 
 
 def _partial_sum_coefficients(fit: PolynomialFit, width: int) -> np.ndarray:
@@ -112,7 +121,9 @@ class PiecewisePrefix:
         total mass.
     """
 
-    __slots__ = ("n", "lefts", "lengths", "coeffs", "boundary", "_nondecreasing")
+    __slots__ = (
+        "n", "lefts", "lengths", "coeffs", "boundary", "_nondecreasing", "_stack"
+    )
 
     def __init__(self, n: int, lefts: np.ndarray, coeffs: np.ndarray) -> None:
         self.n = int(n)
@@ -123,6 +134,7 @@ class PiecewisePrefix:
         masses = self.coeffs.sum(axis=-1)
         self.boundary = np.concatenate(([0.0], np.cumsum(masses)))
         self._nondecreasing: Union[bool, None] = None
+        self._stack: Optional[PrefixStack] = None
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -203,15 +215,144 @@ class PiecewisePrefix:
             self._nondecreasing = ok
         return self._nondecreasing
 
+    def as_stack(self) -> "PrefixStack":
+        """This table as a one-entry :class:`PrefixStack` (made once)."""
+        if self._stack is None:
+            self._stack = PrefixStack([self])
+        return self._stack
+
     def integral(self, x: ArrayLike) -> np.ndarray:
-        """``F(x) = sum_{i < x} f(i)`` for ``x`` in ``[0, n]``, vectorized."""
-        xs = np.asarray(x, dtype=np.int64)
+        """``F(x) = sum_{i < x} f(i)`` for ``x`` in ``[0, n]``, vectorized.
+
+        Positions must be integers (:func:`as_positions`); one outside
+        ``[0, n]`` raises :exc:`IndexError`.
+        """
+        xs = as_positions(x)
         if np.any((xs < 0) | (xs > self.n)):
             raise IndexError(f"prefix positions must lie in [0, {self.n}]")
-        u = np.clip(
-            np.searchsorted(self.lefts, xs, side="right") - 1,
-            0,
-            self.num_pieces - 1,
+        return self.as_stack().integral(xs)
+
+
+class PrefixStack:
+    """The prefix tables of one or more functions, stacked into one evaluator.
+
+    Entry ``j``'s piece arrays (lefts, lengths, coefficient rows, boundary
+    masses) follow those of entries ``0 .. j-1``, and its position ``x``
+    in ``[0, n_j]`` becomes the key ``offsets[j] + x``.  That key sorts
+    after every piece key of the entries before ``j`` and before every
+    one of the entries after it (lefts start at 0 and stay below
+    ``n_j``), so one ``searchsorted`` over the stacked keys places every
+    (entry, position) pair at once.  Each answer is bitwise the one the
+    entry's own one-entry stack gives: the same gathers and the same
+    elementwise arithmetic, and an entry narrower than the widest
+    coefficient row starts its Horner recurrence at its own top power
+    (a zero-padded start would turn a ``-0.0`` top coefficient into
+    ``+0.0``).
+
+    Attributes
+    ----------
+    ns:
+        Per-entry domain sizes.
+    totals:
+        Per-entry total masses.
+    starts:
+        Entry ``j``'s pieces are ``starts[j]:starts[j + 1]`` of the
+        stacked piece arrays.
+    lefts, lengths, base:
+        Stacked piece left endpoints (the entry's own positions), piece
+        lengths, and the cumulative mass before each piece.
+    """
+
+    __slots__ = (
+        "ns",
+        "totals",
+        "starts",
+        "offsets",
+        "keys",
+        "lefts",
+        "lengths",
+        "base",
+        "_coeffs",
+        "_widths",
+    )
+
+    def __init__(self, prefixes: Sequence[PiecewisePrefix]) -> None:
+        if not prefixes:
+            raise ValueError("a prefix stack needs at least one table")
+        self.ns = np.array([prefix.n for prefix in prefixes], dtype=np.int64)
+        self.totals = np.array([prefix.boundary[-1] for prefix in prefixes])
+        counts = [prefix.num_pieces for prefix in prefixes]
+        self.starts = np.concatenate(([0], np.cumsum(counts)))
+        widths = np.array(
+            [prefix.coeffs.shape[1] for prefix in prefixes], dtype=np.int64
         )
+        # One row per coefficient power, so each Horner step gathers from
+        # one row.
+        if len(prefixes) == 1:
+            (prefix,) = prefixes
+            self.offsets = np.zeros(1, dtype=np.int64)
+            self.keys = self.lefts = prefix.lefts
+            self.lengths = prefix.lengths
+            self.base = prefix.boundary[:-1]
+            self._coeffs = prefix.coeffs.T
+        else:
+            self.offsets = np.concatenate(([0], np.cumsum(self.ns + 1)[:-1]))
+            self.lefts = np.concatenate([prefix.lefts for prefix in prefixes])
+            self.keys = self.lefts + np.repeat(self.offsets, counts)
+            self.lengths = np.concatenate([prefix.lengths for prefix in prefixes])
+            self.base = np.concatenate(
+                [prefix.boundary[:-1] for prefix in prefixes]
+            )
+            if np.all(widths == widths[0]):
+                self._coeffs = np.concatenate(
+                    [prefix.coeffs.T for prefix in prefixes], axis=1
+                )
+            else:
+                # Zero-padded above a narrower entry's top power.
+                coeffs = np.zeros((int(widths.max()), self.lefts.size))
+                for prefix, start, stop in zip(
+                    prefixes, self.starts[:-1], self.starts[1:]
+                ):
+                    coeffs[: prefix.coeffs.shape[1], start:stop] = prefix.coeffs.T
+                self._coeffs = coeffs
+        # Mixed widths need each entry's own start of Horner's recurrence.
+        self._widths = widths if np.any(widths != widths[0]) else None
+
+    def integral(
+        self, xs: np.ndarray, entries: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``F_e(x)`` for int64 positions ``xs`` of entries ``entries``.
+
+        ``entries`` broadcasts against ``xs`` (None is entry 0), and every
+        position must lie inside its entry's ``[0, n_e]``; callers check.
+        """
+        if (
+            xs.ndim == 1
+            and xs.size > _POINTS_PER_PASS
+            and (entries is None or entries.shape == xs.shape)
+        ):
+            out = np.empty(xs.size)
+            for start in range(0, xs.size, _POINTS_PER_PASS):
+                part = slice(start, start + _POINTS_PER_PASS)
+                out[part] = self.integral(
+                    xs[part], None if entries is None else entries[part]
+                )
+            return out
+        keys = xs if entries is None else self.offsets[entries] + xs
+        u = np.searchsorted(self.keys, keys, side="right") - 1
         s = 2.0 * (xs - self.lefts[u]) / self.lengths[u] - 1.0
-        return self.boundary[u] + _horner(self.coeffs[u], s)
+        coeffs = self._coeffs
+        top = coeffs.shape[0] - 1
+        out = coeffs[top][u]
+        widths = None
+        if self._widths is not None:
+            widths = self._widths[0 if entries is None else entries]
+        for power in range(top - 1, -1, -1):
+            row = coeffs[power][u]
+            step = out * s + row
+            if widths is not None:
+                # An entry whose own top power is at or below this one
+                # starts its recurrence here, as its own table would.
+                step = np.where(widths > power + 1, step, row)
+            out = step
+        return self.base[u] + out

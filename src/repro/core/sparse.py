@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Iterable, Tuple, Union
 
 import numpy as np
 
+from .integral import as_positions
 from .serialize import check_payload_tag
 
 if TYPE_CHECKING:
@@ -148,7 +149,7 @@ class SparseFunction:
         ``O(log s)`` against the cached cumulative values.
         """
         cum = self.prefix_sums()._cum
-        xs = np.asarray(x, dtype=np.int64)
+        xs = as_positions(x)
         if np.any((xs < 0) | (xs > self.n)):
             raise IndexError(f"prefix positions must lie in [0, {self.n}]")
         out = cum[np.searchsorted(self.indices, xs, side="left")]

@@ -35,8 +35,9 @@ into a queryable system:
   :class:`ShardMap` (resharding is a deliberate migration).
 * :mod:`repro.serve.frontend` — :class:`AsyncServingFrontend`, an
   asyncio front end fanning multi-name query batches out per shard on a
-  thread pool, coalescing same-entry requests, and reassembling answers
-  in request order with per-answer snapshot versions.
+  thread pool, answering each shard job's requests of one kind with one
+  call of its entries' stacked :class:`PrefixTable`, and reassembling
+  answers in request order with per-answer snapshot versions.
 * :mod:`repro.serve.residency` — :class:`ResidencyManager`, tiered
   residency under a global memory budget: hot entries stay hydrated,
   cold ones cool back to their lazy mmap hydrators.

@@ -2,7 +2,9 @@
 
 Group answers are exact because the paper's prefix integrals add across
 members, so a cohort is an ordered member list plus one
-:class:`CohortTable` stacking the members' tables.  A
+:class:`CohortTable`: the members' tables as one
+:class:`~repro.core.integral.PrefixStack` (the evaluator every read
+uses), reduced in member order.  A
 :class:`~repro.serve.store.SynopsisStore` and a
 :class:`~repro.serve.router.ShardRouter` each hold one
 :class:`CohortRegistry`, which owns that state once: validated
@@ -37,7 +39,7 @@ from typing import (
 
 import numpy as np
 
-from ..core.integral import as_count, as_positions
+from ..core.integral import PrefixStack, as_count, as_positions
 
 if TYPE_CHECKING:
     from .engine import PrefixTable
@@ -53,118 +55,49 @@ _PAIRS_PER_PASS = 8192
 
 
 class CohortTable:
-    """The members' prefix tables stacked into one vectorized evaluator.
+    """The members' prefix tables as one :class:`PrefixStack`, reduced in
+    member order.
 
-    Every member's :class:`PiecewisePrefix` arrays (piece lefts, lengths,
-    coefficient rows and boundary masses) are concatenated, with member
-    ``j``'s lefts shifted by a per-member offset so one ``searchsorted``
-    over the stacked keys locates every (member, point) pair at once.
-    The evaluation then runs the same elementwise arithmetic as
-    :meth:`PiecewisePrefix.integral`, so each member row is bitwise equal
-    to that member's own :meth:`PrefixTable.range_sum`.
-
-    The member rows are reduced by an explicit loop in member order:
-    ``np.add.reduce`` over the member axis sums a one-range batch
-    pairwise, which differs in the last bit from the sequential sum a
-    caller adding the member answers would get.  Group answers therefore
-    equal that member-order reduction byte for byte.
+    The stack places every (member, point) pair with one ``searchsorted``
+    over per-member key offsets, and each member row is bitwise equal to
+    that member's own :meth:`PrefixTable.range_sum`.  This class adds the
+    group semantics on top: the member rows are reduced by an explicit
+    loop in member order (``np.add.reduce`` over the member axis sums a
+    one-range batch pairwise, which differs in the last bit from the
+    sequential sum a caller adding the member answers would get), so
+    group answers equal that member-order reduction byte for byte; the
+    top-k ranking of the merged partition; and the bound of
+    :data:`_PAIRS_PER_PASS` pairs per evaluation.
 
     The table is immutable; :class:`CohortRegistry` caches one per named
     cohort, keyed by the members' version vector.
     """
 
-    __slots__ = (
-        "_ns",
-        "_domains",
-        "_offsets",
-        "_keys",
-        "_lefts",
-        "_lengths",
-        "_coeffs",
-        "_base",
-        "_widths",
-        "_ranking",
-    )
+    __slots__ = ("_stack", "_domains", "_ranking")
 
     def __init__(self, tables: Sequence[PrefixTable]) -> None:
         if not tables:
             raise ValueError("group queries need at least one member")
-        prefixes = [table.prefix for table in tables]
-        self._ns = np.array([prefix.n for prefix in prefixes], dtype=np.int64)
+        self._stack = PrefixStack(
+            [prefix for table in tables for prefix in table.prefixes]
+        )
         # Distinct domain lengths in first-member order: a range is checked
         # once per length, so the first member it fails on names the error.
-        self._domains = list(dict.fromkeys(self._ns.tolist()))
-        # Member j's query x in [0, n_j] becomes the key offsets[j] + x,
-        # which sorts after every key of members before j and before every
-        # key of members after it (lefts start at 0 and stay below n_j).
-        self._offsets = np.concatenate(([0], np.cumsum(self._ns + 1)[:-1]))
-        counts = [prefix.num_pieces for prefix in prefixes]
-        self._lefts = np.concatenate([prefix.lefts for prefix in prefixes])
-        self._keys = self._lefts + np.repeat(self._offsets, counts)
-        self._lengths = np.concatenate([prefix.lengths for prefix in prefixes])
-        self._base = np.concatenate([prefix.boundary[:-1] for prefix in prefixes])
-        widths = np.array(
-            [prefix.coeffs.shape[1] for prefix in prefixes], dtype=np.int64
-        )
-        # One row per coefficient power (so each Horner step gathers one
-        # contiguous row), zero-padded above a narrower member's degree.
-        coeffs = np.zeros((int(widths.max()), self._lefts.size))
-        start = 0
-        for prefix, count in zip(prefixes, counts):
-            coeffs[: prefix.coeffs.shape[1], start : start + count] = (
-                prefix.coeffs.T
-            )
-            start += count
-        self._coeffs = coeffs
-        # Mixed widths need the per-member start of Horner's recurrence.
-        self._widths = widths[:, None] if np.any(widths != widths[0]) else None
+        self._domains = list(dict.fromkeys(self._stack.ns.tolist()))
         # (lefts, rights, masses, order) of the merged partition, set by
         # the first top_k call.
         self._ranking: Optional[Tuple[np.ndarray, ...]] = None
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the stacked arrays."""
-        return sum(
-            array.nbytes
-            for array in (
-                self._ns,
-                self._offsets,
-                self._keys,
-                self._lefts,
-                self._lengths,
-                self._coeffs,
-                self._base,
-            )
-        )
-
-    def _integrals(self, xs: np.ndarray, members: slice) -> np.ndarray:
-        """``F_j(x)`` for members ``j`` in ``members`` (rows) and points
-        ``x`` (columns); ``xs`` is 1-D int64 inside every ``[0, n_j]``."""
-        keys = self._offsets[members, None] + xs
-        u = np.searchsorted(self._keys, keys, side="right") - 1
-        s = 2.0 * (xs - self._lefts[u]) / self._lengths[u] - 1.0
-        coeffs = self._coeffs
-        top = coeffs.shape[0] - 1
-        out = coeffs[top][u]
-        for power in range(top - 1, -1, -1):
-            row = coeffs[power][u]
-            step = out * s + row
-            if self._widths is not None:
-                # A member whose own top power is at or below this one
-                # starts its recurrence here, as its own table would.
-                step = np.where(self._widths[members] > power + 1, step, row)
-            out = step
-        return self._base[u] + out
 
     def _sum_members(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Every member's range sums over closed ``[left, right]`` (1-D
         arrays), added one member row at a time in member order."""
         points = np.concatenate((right + 1, left))
+        members = self._stack.ns.size
         per_pass = max(1, _PAIRS_PER_PASS // max(points.size, 1))
         total = None
-        for first in range(0, self._offsets.size, per_pass):
-            both = self._integrals(points, slice(first, first + per_pass))
+        for first in range(0, members, per_pass):
+            rows = np.arange(first, min(first + per_pass, members))[:, None]
+            both = self._stack.integral(points, rows)
             for row in both[:, : left.size] - both[:, left.size :]:
                 total = row if total is None else total + row
         return total
@@ -212,7 +145,7 @@ class CohortTable:
             )
         if self._ranking is None:
             n = self._domains[0]
-            lefts = np.unique(self._lefts)
+            lefts = np.unique(self._stack.lefts)
             rights = np.append(lefts[1:] - 1, n - 1)
             masses = self._sum_members(lefts, rights)
             order = np.argsort(-masses, kind="stable")

@@ -4,10 +4,15 @@
 representation — piece left endpoints, cumulative boundary masses, and a
 per-piece partial-sum polynomial in the scaled variable ``s = 2t/|I| - 1``
 (see :class:`~repro.core.integral.PiecewisePrefix`; a constant piece is
-the degree-0 special case whose partial sum is linear in ``t``).  A batch
-of B range queries then costs one ``searchsorted`` over the ``k`` piece
-boundaries plus ``O(d)`` vector arithmetic: ``O(B log k)`` total, instead
-of B Python-level synopsis evaluations.
+the degree-0 special case whose partial sum is linear in ``t``) — and
+evaluates it with the repo's one evaluator,
+:class:`~repro.core.integral.PrefixStack`.  One synopsis's table is the
+one-entry stack; :meth:`PrefixTable.stack` puts many entries' tables into
+one, so the serving front end answers all of a shard job's requests of
+one kind with one call.  A batch of B queries then costs one
+``searchsorted`` over the stacked piece boundaries plus ``O(d)`` vector
+arithmetic, however many entries it spans, and every answer is bitwise
+its own entry's.
 
 :class:`QueryEngine` answers batched queries against a
 :class:`~repro.serve.store.SynopsisStore`.  Each store entry holds the
@@ -34,13 +39,19 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..baselines.wavelet import WaveletSynopsis
 from ..core.histogram import Histogram, flatten
-from ..core.integral import PiecewisePrefix, as_count, as_positions
+from ..core.integral import (
+    PiecewisePrefix,
+    PrefixStack,
+    as_count,
+    as_positions,
+    nonintegral,
+)
 from ..core.intervals import initial_partition
 from ..core.piecewise_poly import PiecewisePolynomial
 from ..core.sparse import SparseFunction
@@ -65,19 +76,80 @@ ArrayLike = Union[int, float, np.ndarray]
 GROUP_QUERY_KINDS = ("group_range_sum", "group_range_mean", "group_top_k")
 
 
-class PrefixTable:
-    """Query operations over one synopsis's :class:`PiecewisePrefix` table.
+def _bad_ranges(a: np.ndarray, b: np.ndarray, n: Any) -> np.ndarray:
+    """Closed ranges ``[a, b]`` that do not lie in ``[0, n)``."""
+    return (a < 0) | (b >= n) | (a > b)
 
-    The wrapped table normalizes every family to piece boundaries plus
-    within-piece partial-sum polynomials, so a batch of B range queries
-    costs ``O(B log k)``; this class adds the query semantics (closed
-    ranges, CDF normalization, quantile search, heavy buckets).
+
+def _bad_points(x: np.ndarray, n: Any) -> np.ndarray:
+    """Positions outside ``[0, n)``."""
+    return (x < 0) | (x >= n)
+
+
+def _bad_levels(q: np.ndarray) -> np.ndarray:
+    """Quantile levels outside ``[0, 1]``."""
+    return (q < 0.0) | (q > 1.0)
+
+
+def _first(values: Any, bad: np.ndarray) -> int:
+    """``values`` (broadcast against ``bad``) at the first failing point."""
+    return int(np.broadcast_to(values, np.shape(bad))[bad][0])
+
+
+def _per_point(values: np.ndarray, entries: Any) -> Any:
+    """``values[e]`` for every point's entry ``e`` (entry 0 when
+    ``entries`` is None)."""
+    return values[0] if entries is None else values[entries]
+
+
+def _rows_by_entry(entries: Optional[np.ndarray]) -> List[Tuple[int, Any]]:
+    """``(entry, rows)`` for every entry in the 1-D ``entries``, in entry
+    order, ``rows`` indexing that entry's points; None is entry 0 alone."""
+    if entries is None:
+        return [(0, slice(None))]
+    order = np.argsort(entries, kind="stable")
+    ordered = entries[order]
+    cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+    bounds = [0, *cuts, ordered.size]
+    return [
+        (int(ordered[lo]), order[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+        if hi > lo
+    ]
+
+
+def _joined(parts: List[Any], others: List[Any]) -> Any:
+    """The rows of ``parts``: every row when ``others`` holds none."""
+    if not others:
+        return slice(None)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+class PrefixTable:
+    """Query semantics over a :class:`PrefixStack` of one or more synopses.
+
+    ``PrefixTable(prefix)`` (or :meth:`from_synopsis`) is one synopsis's
+    table, the one a store entry holds.  :meth:`stack` puts several
+    tables into one stack, whose entry ``j`` is the ``j``-th table's
+    synopsis.  The stack normalizes every family to piece boundaries plus
+    within-piece partial-sum polynomials, so a batch of B queries over
+    any number of entries costs one ``searchsorted`` and one Horner pass;
+    this class adds the query semantics (closed ranges, CDF
+    normalization, quantile search, heavy buckets) and their checks.
+
+    ``range_sum``, ``range_mean``, ``point_mass``, ``cdf``, ``quantile``
+    and ``integral`` take their query arguments first and, last, an
+    optional ``entries`` column: the entry of every query point (None
+    means entry 0, the one synopsis of an unstacked table).  Each answer
+    is bitwise the answer of that entry's own table.  ``top_k_buckets``
+    and ``inner_product`` read entry 0.
     """
 
-    __slots__ = ("prefix",)
+    __slots__ = ("prefixes", "evaluator")
 
     def __init__(self, prefix: PiecewisePrefix) -> None:
-        self.prefix = prefix
+        self.prefixes: Tuple[PiecewisePrefix, ...] = (prefix,)
+        self.evaluator = prefix.as_stack()
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -101,9 +173,28 @@ class PrefixTable:
             return cls(exact.prefix_table())
         raise TypeError(f"unsupported synopsis type {type(synopsis).__name__}")
 
+    @classmethod
+    def stack(cls, tables: Sequence["PrefixTable"]) -> "PrefixTable":
+        """One table over every entry of ``tables``, in order."""
+        table = cls.__new__(cls)
+        table.prefixes = tuple(
+            prefix for member in tables for prefix in member.prefixes
+        )
+        table.evaluator = (
+            table.prefixes[0].as_stack()
+            if len(table.prefixes) == 1
+            else PrefixStack(table.prefixes)
+        )
+        return table
+
     # ------------------------------------------------------------------ #
     # Primitives
     # ------------------------------------------------------------------ #
+
+    @property
+    def prefix(self) -> PiecewisePrefix:
+        """Entry 0's table: the synopsis's own, unless stacked."""
+        return self.prefixes[0]
 
     @property
     def n(self) -> int:
@@ -120,16 +211,34 @@ class PrefixTable:
     def piece_masses(self) -> np.ndarray:
         return self.prefix.piece_masses()
 
-    def integral(self, x: ArrayLike) -> np.ndarray:
-        """``F(x) = sum_{i < x} f(i)`` for ``x`` in ``[0, n]``, vectorized."""
-        return self.prefix.integral(x)
+    def integral(self, x: ArrayLike, entries: Any = None) -> np.ndarray:
+        """``F_e(x) = sum_{i < x} f_e(i)`` for ``x`` in ``[0, n_e]``, vectorized."""
+        xs = as_positions(x)
+        n = _per_point(self.evaluator.ns, entries)
+        bad = (xs < 0) | (xs > n)
+        if np.any(bad):
+            raise IndexError(f"prefix positions must lie in [0, {_first(n, bad)}]")
+        return self.evaluator.integral(xs, entries)
+
+    def _difference(self, hi: np.ndarray, lo: np.ndarray, entries: Any) -> np.ndarray:
+        """``F_e(hi) - F_e(lo)``, both ends placed by one evaluation."""
+        size = hi.size
+        if entries is not None:
+            entries = np.broadcast_to(entries, hi.shape).ravel()
+            entries = np.concatenate((entries, entries))
+        both = self.evaluator.integral(
+            np.concatenate((hi.ravel(), lo.ravel())), entries
+        )
+        return (both[:size] - both[size:]).reshape(hi.shape)
 
     # ------------------------------------------------------------------ #
     # Queries (array-in / array-out; scalars map to scalars)
     # ------------------------------------------------------------------ #
 
-    def range_sum(self, a: ArrayLike, b: ArrayLike) -> Union[float, np.ndarray]:
-        """``sum_{i in [a, b]} f(i)`` over closed ranges (batched)."""
+    def range_sum(
+        self, a: ArrayLike, b: ArrayLike, entries: Any = None
+    ) -> Union[float, np.ndarray]:
+        """``sum_{i in [a, b]} f_e(i)`` over closed ranges (batched)."""
         aa = as_positions(a)
         bb = as_positions(b)
         if aa.shape != bb.shape:
@@ -137,13 +246,17 @@ class PrefixTable:
             # front end does for a stacked request: an empty side is no
             # ranges at all, whatever the other side holds.
             aa, bb = np.broadcast_arrays(aa, bb)
-        if np.any((aa < 0) | (bb >= self.n) | (aa > bb)):
-            raise ValueError(f"ranges must satisfy 0 <= a <= b < {self.n}")
-        out = self.integral(bb + 1) - self.integral(aa)
+        n = _per_point(self.evaluator.ns, entries)
+        bad = _bad_ranges(aa, bb, n)
+        if np.any(bad):
+            raise ValueError(f"ranges must satisfy 0 <= a <= b < {_first(n, bad)}")
+        out = self._difference(bb + 1, aa, entries)
         return float(out) if np.ndim(a) == 0 and np.ndim(b) == 0 else out
 
-    def range_mean(self, a: ArrayLike, b: ArrayLike) -> Union[float, np.ndarray]:
-        """Mean of ``f`` over closed ranges: ``range_sum(a, b) / (b - a + 1)``.
+    def range_mean(
+        self, a: ArrayLike, b: ArrayLike, entries: Any = None
+    ) -> Union[float, np.ndarray]:
+        """Mean of ``f_e`` over closed ranges: ``range_sum(a, b) / (b - a + 1)``.
 
         A closed range ``[a, b]`` with ``a <= b`` always covers
         ``b - a + 1 >= 1`` positions, so the division is safe; the
@@ -152,95 +265,177 @@ class PrefixTable:
         instead of silently returning NaN.  A single-point range
         ``a == b`` degenerates to the point mass.
         """
-        sums = self.range_sum(a, b)
+        sums = self.range_sum(a, b, entries)
         lengths = np.asarray(b, dtype=np.int64) - np.asarray(a, dtype=np.int64) + 1
         out = sums / lengths.astype(np.float64)
         return float(out) if np.ndim(a) == 0 and np.ndim(b) == 0 else out
 
-    def point_mass(self, x: ArrayLike) -> Union[float, np.ndarray]:
-        """``f(x)`` (batched)."""
+    def point_mass(self, x: ArrayLike, entries: Any = None) -> Union[float, np.ndarray]:
+        """``f_e(x)`` (batched)."""
         xs = as_positions(x)
-        if np.any((xs < 0) | (xs >= self.n)):
-            raise ValueError(f"positions must lie in [0, {self.n})")
-        out = self.integral(xs + 1) - self.integral(xs)
+        n = _per_point(self.evaluator.ns, entries)
+        bad = _bad_points(xs, n)
+        if np.any(bad):
+            raise ValueError(f"positions must lie in [0, {_first(n, bad)})")
+        out = self._difference(xs + 1, xs, entries)
         return float(out) if np.ndim(x) == 0 else out
 
-    def cdf(self, x: ArrayLike) -> Union[float, np.ndarray]:
-        """``P[X <= x] = F(x + 1) / total`` (batched; needs positive mass)."""
-        total = self.total_mass
-        if total <= 0.0:
+    def cdf(self, x: ArrayLike, entries: Any = None) -> Union[float, np.ndarray]:
+        """``P[X <= x] = F_e(x + 1) / total_e`` (batched; needs positive mass)."""
+        totals = _per_point(self.evaluator.totals, entries)
+        if np.any(totals <= 0.0):
             raise ValueError("cdf requires positive total mass")
         xs = as_positions(x)
-        if np.any((xs < 0) | (xs >= self.n)):
-            raise ValueError(f"positions must lie in [0, {self.n})")
-        out = self.integral(xs + 1) / total
+        n = _per_point(self.evaluator.ns, entries)
+        bad = _bad_points(xs, n)
+        if np.any(bad):
+            raise ValueError(f"positions must lie in [0, {_first(n, bad)})")
+        out = self.evaluator.integral(xs + 1, entries) / totals
         return float(out) if np.ndim(x) == 0 else out
 
-    def quantile(self, q: ArrayLike) -> Union[int, np.ndarray]:
-        """Smallest ``x`` with ``F(x + 1) >= q * total`` (batched).
+    def quantile(self, q: ArrayLike, entries: Any = None) -> Union[int, np.ndarray]:
+        """Smallest ``x`` with ``F_e(x + 1) >= q * total_e`` (batched).
 
-        Piecewise-constant tables (every family except the polynomial one)
-        are answered exactly for any sign pattern by a two-level
+        Piecewise-constant entries (every family except the polynomial
+        one) are answered exactly for any sign pattern by a two-level
         ``searchsorted`` over the running max of per-piece prefix values:
-        ``O(B log k)``.  Higher-degree tables fall back to vectorized
+        ``O(B log k)``.  Higher-degree entries fall back to vectorized
         bisection over the domain (``O(B log n log k)``), which is only
         valid for a nondecreasing prefix integral — a certified property;
         a polynomial reconstruction that dips negative raises instead of
         silently returning a wrong crossing.
         """
-        total = self.total_mass
-        if total <= 0.0:
+        totals = _per_point(self.evaluator.totals, entries)
+        if np.any(totals <= 0.0):
             raise ValueError("quantile requires positive total mass")
         qs = np.asarray(q, dtype=np.float64)
-        if np.any((qs < 0.0) | (qs > 1.0)):
+        if np.any(_bad_levels(qs)):
             raise ValueError("quantile levels must lie in [0, 1]")
-        targets = np.atleast_1d(qs) * total
-        if self.prefix.is_piecewise_linear:
-            out = self._quantile_linear(targets)
-        elif self.prefix.is_nondecreasing:
-            out = self._quantile_bisect(targets)
-        else:
-            raise ValueError(
-                "quantile is undefined for this synopsis: its reconstruction "
-                "goes negative, so the prefix integral is not monotone"
+        targets = np.atleast_1d(qs) * totals
+        shape = targets.shape
+        targets = targets.ravel()
+        if entries is not None:
+            entries = np.broadcast_to(entries, shape).ravel()
+        searched: List[Tuple[int, Any]] = []
+        bisected: List[Any] = []
+        for entry, rows in _rows_by_entry(entries):
+            prefix = self.prefixes[entry]
+            if prefix.is_piecewise_linear:
+                searched.append((entry, rows))
+            elif prefix.is_nondecreasing:
+                bisected.append(rows)
+            else:
+                raise ValueError(
+                    "quantile is undefined for this synopsis: its reconstruction "
+                    "goes negative, so the prefix integral is not monotone"
+                )
+        out = np.empty(targets.size, dtype=np.int64)
+        if searched:
+            rows = _joined([rows for _, rows in searched], bisected)
+            out[rows] = self._quantile_linear(targets, searched, rows)
+        if bisected:
+            rows = _joined(bisected, searched)
+            out[rows] = self._quantile_bisect(
+                targets[rows], None if entries is None else entries[rows]
             )
-        return int(out[0]) if np.ndim(q) == 0 else out
+        out = out.reshape(shape)
+        return int(out.flat[0]) if np.ndim(q) == 0 else out
 
-    def _quantile_linear(self, targets: np.ndarray) -> np.ndarray:
-        """Exact first crossing for piecewise-constant ``f`` of any sign.
+    def _quantile_linear(
+        self, targets: np.ndarray, searched: List[Tuple[int, Any]], rows: Any
+    ) -> np.ndarray:
+        """Exact first crossing for piecewise-constant entries of any sign.
 
         Within piece ``u`` the prefix is linear, so its max over the piece's
         positions ``z in (left_u, left_u + L_u]`` sits at an endpoint; the
-        running max of those per-piece maxima is nondecreasing and supports
-        ``searchsorted`` even when individual pieces are negative.
+        running max of those per-piece maxima is nondecreasing over each
+        entry's pieces and supports ``searchsorted`` even when individual
+        pieces are negative.  Each entry searches its own slice of the
+        stacked maxima; the rest of the arithmetic is stacked.  Returns
+        the answers of ``targets[rows]``.
         """
-        prefix = self.prefix
-        cum = prefix.boundary
-        lengths = prefix.lengths
-        values = np.diff(cum) / lengths
-        piece_max = np.maximum(cum[:-1] + values, cum[1:])
-        running = np.maximum.accumulate(piece_max)
-        u = np.minimum(
-            np.searchsorted(running, targets, side="left"),
-            prefix.num_pieces - 1,
-        )
+        stack = self.evaluator
+        base, lengths, starts = stack.base, stack.lengths, stack.starts
+        if len(self.prefixes) == 1:
+            tops = self.prefix.boundary[1:]
+        else:
+            tops = np.concatenate([prefix.boundary[1:] for prefix in self.prefixes])
+        values = (tops - base) / lengths
+        piece_max = np.maximum(base + values, tops)
+        u = np.zeros(targets.size, dtype=np.intp)
+        for entry, mine in searched:
+            start, stop = starts[entry], starts[entry + 1]
+            running = np.maximum.accumulate(piece_max[start:stop])
+            u[mine] = start + np.minimum(
+                np.searchsorted(running, targets[mine], side="left"),
+                stop - start - 1,
+            )
+        u = u[rows]
         vu = values[u]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.ceil((targets - cum[u]) / vu)
+            t = np.ceil((targets[rows] - base[u]) / vu)
         t = np.where(vu > 0, t, 1.0)
         t = np.clip(t, 1.0, lengths[u])
-        return prefix.lefts[u] + t.astype(np.int64) - 1
+        return stack.lefts[u] + t.astype(np.int64) - 1
 
-    def _quantile_bisect(self, targets: np.ndarray) -> np.ndarray:
-        """Vectorized binary search; requires a nondecreasing prefix."""
+    def _quantile_bisect(self, targets: np.ndarray, entries: Any) -> np.ndarray:
+        """Vectorized binary search; requires nondecreasing prefixes.
+
+        A point moves only while some point of its own entry is still
+        open, so each entry steps exactly as a search over its points
+        alone would.
+        """
+        stack = self.evaluator
         lo = np.zeros(targets.shape, dtype=np.int64)
-        hi = np.full(targets.shape, self.n - 1, dtype=np.int64)
-        while np.any(lo < hi):
+        hi = np.broadcast_to(_per_point(stack.ns, entries) - 1, targets.shape)
+        while True:
+            open_ = lo < hi
+            if entries is None:
+                live = open_.any()
+            else:
+                live_entries = np.zeros(stack.ns.size, dtype=bool)
+                live_entries[entries[open_]] = True
+                live = live_entries[entries]
+            if not np.any(live):
+                return lo
             mid = (lo + hi) >> 1
-            reached = self.integral(mid + 1) >= targets
-            hi = np.where(reached, mid, hi)
-            lo = np.where(reached, lo, mid + 1)
-        return lo
+            reached = stack.integral(mid + 1, entries) >= targets
+            hi = np.where(live & reached, mid, hi)
+            lo = np.where(live & ~reached, mid + 1, lo)
+
+    def rejected(
+        self, kind: str, columns: Sequence[np.ndarray], entries: np.ndarray
+    ) -> np.ndarray:
+        """Which points of a stacked ``kind`` call fail their checks.
+
+        ``columns`` holds one 1-D numeric array per argument position and
+        ``entries`` each point's entry.  A point is rejected when the
+        checks of ``kind`` fail on it: a position that is not an integer
+        or lies outside its entry's domain, a level outside ``[0, 1]``, a
+        cdf or quantile of an entry without positive mass, or a quantile
+        of a polynomial entry whose prefix is not monotone.
+        """
+        stack = self.evaluator
+        if kind == "quantile":
+            bad = _bad_levels(columns[0].astype(np.float64))
+            served = np.zeros(stack.ns.size, dtype=bool)
+            for entry in np.flatnonzero(np.bincount(entries)).tolist():
+                prefix = self.prefixes[entry]
+                served[entry] = prefix.total_mass > 0.0 and (
+                    prefix.is_piecewise_linear or prefix.is_nondecreasing
+                )
+            return bad | ~served[entries]
+        bad = np.zeros(entries.shape, dtype=bool)
+        for column in columns:
+            if column.dtype.kind == "f":
+                bad |= nonintegral(column)
+        n = stack.ns[entries]
+        if kind in ("range_sum", "range_mean"):
+            return bad | _bad_ranges(columns[0], columns[1], n)
+        bad |= _bad_points(columns[0], n)
+        if kind == "cdf":
+            bad |= stack.totals[entries] <= 0.0
+        return bad
 
     def top_k_buckets(self, m: int) -> List[Tuple[int, int, float]]:
         """The ``m`` heaviest pieces as ``(left, right, mass)``, mass-descending."""

@@ -7,16 +7,24 @@ heavy_hitters) addressed to one entry — and answers it column by column:
 
 * One Python pass groups the batch by ``(entry, kind)`` and routes each
   group, not each request, to the shard its entry lives on.
-* Within a shard job every same-``(entry, kind)`` group is answered by one
-  vectorized :class:`~repro.serve.engine.PrefixTable` call.  A group of
-  scalar requests packs its arguments into one array per argument
-  position and unpacks the answer with one ``tolist()``; a group holding
-  a 1-D request broadcasts each request's own arguments before stacking
-  them and copies each request's slice back out.  N-d arguments and the
-  kinds that do not stack (top_k, inner_product, heavy_hitters) are
-  served one request at a time.  If a group's call raises (one request
-  holds an invalid position), its requests are re-served one by one, so
-  only the offender reports an error.
+* A shard job fetches each touched entry's table once
+  (``table_versioned``), stacks the tables for this batch alone
+  (:meth:`~repro.serve.engine.PrefixTable.stack`, per-entry key offsets),
+  and answers all its requests of one stackable kind (range_sum /
+  range_mean / point_mass / cdf / quantile) with one call of the stacked
+  table: per kind, an entry-code column plus one argument column per
+  position.  Scalar requests pack into those columns with no NumPy call
+  per request and unpack with one ``tolist()``; a 1-D request broadcasts
+  its own arguments before stacking and copies its slice back out.  A
+  table of more than ``_STACK_PIECES`` pieces is not copied into the
+  stack and answers its own calls.  N-d or empty arguments and the kinds
+  that do not stack (top_k, inner_product, heavy_hitters) are served one
+  request at a time.
+* Checks stay per request: the rows a request's checks reject (an
+  invalid position or level, an entry without mass, a non-monotone
+  polynomial's quantile) are taken out of the stacked call and that
+  request alone is served on its own, so it fails with the message it
+  gets alone and every other answer is unchanged.
 * A *light* batch runs all its shard jobs in order inside one pool job:
   per-request Python, not kernel time, dominates such a batch, and two
   pool threads would only take turns on the interpreter lock.  Only when
@@ -46,6 +54,7 @@ from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,7 +62,7 @@ import numpy as np
 from ..obs.jsonlog import SlowQueryLog
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TraceContext, span
-from .engine import GROUP_QUERY_KINDS
+from .engine import GROUP_QUERY_KINDS, PrefixTable
 from .persistence import StoreCorruptionError
 from .router import Shard, ShardRouter
 from .store import StoreEntry
@@ -92,28 +101,45 @@ QUERY_KINDS: Dict[str, int] = {
     for kind, form in _ARG_FORMS.items()
 }
 
-# Kinds whose array arguments can be concatenated across requests and the
-# stacked answer split back per request.  top_k returns a bucket list per
-# request (inner_product pairs two entries, heavy_hitters returns a
-# hitter list from the live learner), so those always evaluate
-# individually.
-_COALESCIBLE = ("range_sum", "range_mean", "point_mass", "cdf", "quantile")
+# Kinds whose requests stack: a shard job answers all its requests of one
+# of these kinds with one call of the stacked PrefixTable, and splits the
+# answer back per request.  top_k returns a bucket list per request
+# (inner_product pairs two entries, heavy_hitters returns a hitter list
+# from the live learner), so those always evaluate individually.
+_STACKABLE = ("range_sum", "range_mean", "point_mass", "cdf", "quantile")
 
 # Arguments of these types are scalars that pack into one column with no
 # NumPy call per request.  Anything else (0-d arrays included) goes
 # through the per-request broadcast.
 _SCALAR_TYPES = (int, float, np.generic)
 
+# Column dtypes (bool, int, uint, float) a stacked call checks row by row.
+_NUMERIC = "biuf"
+
 #: Query points per shard job at which a batch fans out.  A scalar
 #: request counts one point, an array request its broadcast length, a
 #: request of a kind that does not stack one.  When at least two shard
 #: jobs each carry this many points, every shard job runs as its own pool
 #: job; otherwise one pool job runs them all in order.  Set from the
-#: crossover measured on 2 CPUs over 2 shards of 16 entries: on 8-piece
-#: tables the two were even at about 32k points per shard job and
-#: fan-out won by 13% at 64k; on 16k-piece tables fan-out won from 16k
-#: points up, and one thread won by 26% at 4k.
-FAN_OUT_POINTS = 32_768
+#: crossover measured with one stacked call per (shard job, kind), on 2
+#: CPUs over 2 shards of 16 entries (median fan-out time / one-thread
+#: time): on 17-piece tables 1.66 at ~2k points per shard job, 1.12 at
+#: ~8k, 0.76-0.94 at ~12k and 0.71-0.91 at ~16k for array requests, and
+#: 0.86-0.95 at ~16k for scalar ones (1.25, 1.13 and 0.92 at ~12k); on
+#: 16k-piece tables fan-out won from ~2k points up (0.47-0.77).  Two
+#: shard jobs at once hold two working sets: on vector-rw (~16k points
+#: per shard job) fanning out raised peak RSS by ~1.8 MB.
+FAN_OUT_POINTS = 16_384
+
+#: Pieces above which a table is not copied into its shard job's stack.
+#: The stack is built anew each batch and copies every stacked piece,
+#: while a table answered by calls of its own pays a fixed cost per call.
+#: Measured on 2 CPUs over 2 shards of 16 entries (n = 16,384), as the
+#: time with every table stacked over the time with every table on its
+#: own: for 1,500 scalar requests 0.54, 0.64, 0.63, 0.97 and 1.66 at 64,
+#: 256, 1,024, 4,096 and 16,384 pieces a table; for 512 requests of 32
+#: ranges 1.03, 1.06, 1.07, 1.25 and 1.59.
+_STACK_PIECES = 1024
 
 _REQUEST_ERRORS = (KeyError, ValueError, IndexError, TypeError, StoreCorruptionError)
 
@@ -202,11 +228,12 @@ class AsyncServingFrontend:
     """Concurrent batched queries and writes over a sharded store.
 
     A batch is grouped by ``(entry, kind)`` and routed once per group;
-    each shard's groups form one shard job.  A light batch runs its shard
-    jobs in order as one pool job; a batch in which at least two shard
-    jobs each carry :data:`FAN_OUT_POINTS` query points runs one pool job
-    per shard.  Writes and group-by queries also run on the pool, so the
-    event loop never evaluates anything itself.
+    each shard's groups form one shard job, which answers each stackable
+    kind with one call of its entries' stacked table.  A light batch runs
+    its shard jobs in order as one pool job; a batch in which at least two
+    shard jobs each carry :data:`FAN_OUT_POINTS` query points runs one
+    pool job per shard.  Writes and group-by queries also run on the
+    pool, so the event loop never evaluates anything itself.
 
     Parameters
     ----------
@@ -384,7 +411,7 @@ class AsyncServingFrontend:
                 for result in shard_results:
                     results[result.index] = result
             ordered = [r for r in results if r is not None]
-        errors = sum(1 for r in ordered if not r.ok)
+        errors = sum(1 for r in ordered if r.error is not None)
         if errors:
             self._c_errors.inc(errors)
         elapsed = time.perf_counter() - started
@@ -575,32 +602,19 @@ class AsyncServingFrontend:
         counter.inc(routed)
         try:
             with span("coalesce", shard=shard.index):
-                # (name, kind, indices, columns, layout) per engine call
-                calls: List[tuple] = []
+                stackable: List[_Group] = []
                 singles: List[int] = []
                 for group in groups:
-                    if group.kind not in _COALESCIBLE or len(group.indices) == 1:
-                        singles.extend(group.indices)
-                    elif group.scalar:
-                        columns = [np.array(column) for column in zip(*group.args)]
-                        calls.append(
-                            (group.name, group.kind, group.indices, columns, None)
-                        )
+                    if group.kind in _STACKABLE:
+                        stackable.append(group)
                     else:
-                        call, alone = _stack(group)
-                        if call is not None:
-                            calls.append(call)
-                        singles.extend(alone)
-                merged = sum(len(call[2]) for call in calls)
-                if merged:
-                    self._c_coalesced.inc(merged)
+                        singles.extend(group.indices)
                 # Per-entry request volume, for the hotness tracker.  The
                 # engine's per-entry cache series counts *table accesses*
-                # — one per coalesced group — so under coalescing it
-                # undercounts load by the batch size; this series counts
-                # requests.  Looked up (not cached) so removal via
-                # ``registry.drop(entry=...)`` stays effective across
-                # re-registration.
+                # — one per entry per shard job — so it undercounts load
+                # by the batch size; this series counts requests.  Looked
+                # up (not cached) so removal via ``registry.drop(entry=...)``
+                # stays effective across re-registration.
                 request_counts: Dict[str, int] = {}
                 for group in groups:
                     request_counts[group.name] = request_counts.get(
@@ -612,15 +626,85 @@ class AsyncServingFrontend:
                         "requests addressed to the entry",
                         entry=entry_name,
                     ).inc(requested)
+                versions, calls, alone = _gather(shard, stackable)
+                singles.extend(alone)
             with span("evaluate", shard=shard.index, requests=routed):
                 results: List[QueryResult] = []
                 for call in calls:
-                    results.extend(self._serve_coalesced(shard, requests, *call))
+                    results.extend(self._serve_call(shard, versions, call, requests))
                 for index in singles:
                     results.append(self._serve_one(shard, index, requests[index]))
             return results
         finally:
             histogram.observe(time.perf_counter() - started)
+
+    def _serve_call(
+        self,
+        shard: Shard,
+        versions: Dict[str, int],
+        call: "_Call",
+        requests: Sequence[QueryRequest],
+    ) -> List[QueryResult]:
+        """One stacked kernel call for one kind, unpacked per request.
+
+        A request whose rows fail the checks leaves the call and is served
+        alone, so its error (or answer) is the one it gets alone.
+        """
+        table, kind = call.table, call.kind
+        columns, entries = call.columns, call.entries
+        units = call.scalar_rows + len(call.arrays)
+        rejected = table.rejected(kind, columns, entries)
+        solo = [False] * units
+        if rejected.any():
+            unit_of_row = np.repeat(np.arange(units), call.lengths())
+            bad = np.zeros(units, dtype=bool)
+            bad[unit_of_row[rejected]] = True
+            keep = ~bad[unit_of_row]
+            columns = [column[keep] for column in columns]
+            entries = entries[keep]
+            solo = bad.tolist()
+        served = units - sum(solo)
+        if served > 1:
+            self._c_coalesced.inc(served)
+        start = time.perf_counter()
+        try:
+            stacked = getattr(table, kind)(*columns, entries)
+        except _REQUEST_ERRORS:
+            return [self._serve_one(shard, i, requests[i]) for i in call.indices()]
+        finally:
+            # One stacked evaluation = one engine-side observation.
+            shard.engine.observe_query(kind, time.perf_counter() - start)
+        results: List[QueryResult] = []
+        scalars = stacked[: call.scalar_rows - sum(solo[: call.scalar_rows])].tolist()
+        row = unit = 0
+        for group in call.groups:
+            name, indices = group.name, group.indices
+            flags = solo[unit : unit + len(indices)]
+            unit += len(indices)
+            if any(flags):
+                results.extend(
+                    self._serve_one(shard, i, requests[i])
+                    for i, alone in zip(indices, flags)
+                    if alone
+                )
+                indices = [i for i, alone in zip(indices, flags) if not alone]
+            version = versions[name]
+            results.extend(
+                QueryResult(i, name, kind, value, version)
+                for i, value in zip(indices, scalars[row : row + len(indices)])
+            )
+            row += len(indices)
+        for (index, name, rows, scalar), alone in zip(call.arrays, solo[unit:]):
+            if alone:
+                results.append(self._serve_one(shard, index, requests[index]))
+                continue
+            piece = stacked[row : row + rows[0].size]
+            row += rows[0].size
+            # Copied out: a view would pin the whole call's answer alive
+            # for as long as any one result is retained.
+            value = piece[0].item() if scalar else piece.copy()
+            results.append(QueryResult(index, name, kind, value, versions[name]))
+        return results
 
     def _serve_one(
         self, shard: Shard, index: int, request: QueryRequest, _hops: int = 0
@@ -677,57 +761,6 @@ class AsyncServingFrontend:
             version=version,
         )
 
-    def _serve_coalesced(
-        self,
-        shard: Shard,
-        requests: Sequence[QueryRequest],
-        name: str,
-        kind: str,
-        indices: List[int],
-        columns: List[np.ndarray],
-        layout: Any,
-        _hops: int = 0,
-    ) -> List[QueryResult]:
-        """One kernel call for same-(name, kind) requests, unpacked per request.
-
-        ``columns`` holds one stacked array per argument position.  With
-        ``layout`` None every request is a scalar and the answer unpacks
-        with one ``tolist()``; otherwise it is ``(lengths, scalars)`` from
-        :func:`_stack`.  All answers in the group share one table
-        snapshot, hence one version.  If the call fails (one request
-        holds an invalid position), every request is re-served
-        individually so only the offender reports an error.
-        """
-        try:
-            version, table = shard.engine.table_versioned(name)
-        except _REQUEST_ERRORS as exc:
-            retry = self._migration_target(shard, name, exc)
-            if retry is not None and _hops < 4:
-                self._c_migrated_retries.inc()
-                return self._serve_coalesced(
-                    retry, requests, name, kind, indices, columns, layout,
-                    _hops + 1,
-                )
-            error = str(exc)
-            return [
-                QueryResult(index=i, name=name, kind=kind, error=error)
-                for i in indices
-            ]
-        start = time.perf_counter()
-        try:
-            stacked = _evaluate(table, kind, columns)
-        except _REQUEST_ERRORS:
-            return [self._serve_one(shard, i, requests[i]) for i in indices]
-        finally:
-            # One stacked evaluation = one engine-side observation; the
-            # coalescing win shows up as fewer, slightly fatter samples.
-            shard.engine.observe_query(kind, time.perf_counter() - start)
-        values = stacked.tolist() if layout is None else _unstack(stacked, *layout)
-        return [
-            QueryResult(index=i, name=name, kind=kind, value=value, version=version)
-            for i, value in zip(indices, values)
-        ]
-
 
 class _Group:
     """The requests of one batch addressed to one ``(entry, kind)``."""
@@ -743,10 +776,11 @@ class _Group:
         self.args = args
         # Scalar groups pack one column per argument position without a
         # NumPy call per request.
-        self.scalar = kind in _COALESCIBLE and all(
-            isinstance(arg, _SCALAR_TYPES) for request in args for arg in request
+        self.scalar = kind in _STACKABLE and all(
+            issubclass(cls, _SCALAR_TYPES)
+            for cls in set(map(type, chain.from_iterable(args)))
         )
-        if self.scalar or kind not in _COALESCIBLE:
+        if self.scalar or kind not in _STACKABLE:
             self.points = len(indices)
         else:
             self.points = sum(_broadcast_size(request) for request in args)
@@ -761,60 +795,161 @@ def _broadcast_size(args: Tuple[Any, ...]) -> int:
         return 1
 
 
-def _stack(group: _Group) -> Tuple[Optional[tuple], List[int]]:
-    """Stack a group that holds array requests into one call.
+class _Call:
+    """One kind's stackable requests of a shard job, as columns.
 
-    Returns the call ``(name, kind, indices, columns, (lengths,
-    scalars))``, or None, and the requests to serve alone.  Stacking runs
-    along axis 0, so N-d query arrays (which the engine accepts) would
-    split back wrongly: those are served alone.  Each request's own
-    arguments are broadcast against each other *before* stacking: a
-    request like (scalar a, array b) must occupy the same positions in
-    every stacked argument, or neighbours' a/b pairs would silently
-    cross.  If any request does not broadcast, the whole group is served
-    one by one.
+    The rows are the requests of the scalar ``groups`` first, one row
+    each in group order, then the broadcast rows of each of ``arrays``'
+    ``(index, name, rows, scalar answer)``.  ``columns`` holds one array
+    per argument position and ``entries`` every row's entry in ``table``.
     """
-    indices: List[int] = []
-    stackable: List[Tuple[Any, ...]] = []
-    alone: List[int] = []
-    for index, args in zip(group.indices, group.args):
-        try:
-            flat = all(np.ndim(arg) <= 1 for arg in args)
-        except ValueError:  # a ragged nested list fails on its own
-            flat = False
-        if flat:
-            indices.append(index)
-            stackable.append(args)
-        else:
-            alone.append(index)
-    if len(indices) < 2:
-        return None, alone + indices
-    try:
-        broadcasts = [
-            np.broadcast_arrays(*[np.atleast_1d(np.asarray(arg)) for arg in args])
-            for args in stackable
+
+    __slots__ = (
+        "kind", "table", "groups", "arrays", "columns", "entries", "scalar_rows"
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        table: PrefixTable,
+        groups: List[_Group],
+        scalar_columns: List[np.ndarray],
+        arrays: List[Tuple[int, str, List[np.ndarray], bool]],
+        codes: Dict[str, int],
+    ) -> None:
+        self.kind = kind
+        self.table = table
+        self.groups = groups
+        self.arrays = arrays
+        self.scalar_rows = sum(len(group.indices) for group in groups)
+        parts = [scalar_columns] if groups else []
+        parts.extend(rows for _, _, rows, _ in arrays)
+        self.columns = [
+            np.concatenate([part[position] for part in parts])
+            if len(parts) > 1
+            else parts[0][position]
+            for position in range(QUERY_KINDS[kind])
         ]
+        names = [group.name for group in groups] + [name for _, name, _, _ in arrays]
+        counts = [len(group.indices) for group in groups]
+        counts.extend(rows[0].size for _, _, rows, _ in arrays)
+        self.entries = np.repeat(
+            np.array([codes[name] for name in names], dtype=np.intp), counts
+        )
+
+    def lengths(self) -> List[int]:
+        """Rows per request, in row order."""
+        return [1] * self.scalar_rows + [rows[0].size for _, _, rows, _ in self.arrays]
+
+    def indices(self) -> List[int]:
+        """The requests' batch indices, in row order."""
+        return [i for group in self.groups for i in group.indices] + [
+            index for index, _, _, _ in self.arrays
+        ]
+
+
+def _gather(
+    shard: Shard, groups: List[_Group]
+) -> Tuple[Dict[str, int], List[_Call], List[int]]:
+    """A shard job's stackable requests as one call per kind.
+
+    Every touched entry's table is fetched once, with ``table_versioned``,
+    and the tables are stacked with :meth:`PrefixTable.stack` for this
+    batch alone: an entry re-registered between two batches would miss
+    any cache keyed by version.  A table of more than
+    :data:`_STACK_PIECES` pieces is not copied into the stack; it answers
+    its entry's requests with calls of its own.  Returns each fetched
+    entry's version, the calls, and the requests to serve alone: those
+    of an entry whose fetch failed (each then gets the error, or its
+    answer from the shard the entry moved to), array requests that
+    cannot stack, and scalar columns that do not pack numerically.
+    """
+    versions: Dict[str, int] = {}
+    alone: List[int] = []
+    by_name: Dict[str, List[_Group]] = {}
+    for group in groups:
+        by_name.setdefault(group.name, []).append(group)
+    # Stack 0 holds every table of at most _STACK_PIECES pieces; each
+    # larger table is a stack of its own.
+    stacks: List[List[PrefixTable]] = [[]]
+    codes: Dict[str, int] = {}
+    by_call: Dict[Tuple[int, str], Tuple[List[_Group], list]] = {}
+    for name, mine in by_name.items():
+        try:
+            versions[name], table = shard.engine.table_versioned(name)
+        except _REQUEST_ERRORS:
+            alone.extend(i for group in mine for i in group.indices)
+            continue
+        home = 0
+        if table.num_pieces > _STACK_PIECES:
+            home = len(stacks)
+            stacks.append([])
+        codes[name] = len(stacks[home])
+        stacks[home].append(table)
+        for group in mine:
+            scalars, arrays = by_call.setdefault((home, group.kind), ([], []))
+            if group.scalar:
+                scalars.append(group)
+                continue
+            for index, args in zip(group.indices, group.args):
+                flat = _flat_rows(args)
+                if flat is None:
+                    alone.append(index)
+                else:
+                    arrays.append((index, name, *flat))
+    tables = [PrefixTable.stack(members) if members else None for members in stacks]
+    calls: List[_Call] = []
+    for (home, kind), (scalars, arrays) in by_call.items():
+        columns = _scalar_columns(scalars) if scalars else []
+        if columns is None:
+            alone.extend(i for group in scalars for i in group.indices)
+            scalars = []
+        if scalars or arrays:
+            calls.append(_Call(kind, tables[home], scalars, columns, arrays, codes))
+    return versions, calls, alone
+
+
+def _scalar_columns(groups: List[_Group]) -> Optional[List[np.ndarray]]:
+    """Scalar groups' arguments packed into one column per position, or
+    None when a column is not numeric (those requests are served alone)."""
+    try:
+        columns = [
+            np.array(column) for column in zip(*(a for g in groups for a in g.args))
+        ]
+    except _REQUEST_ERRORS + (OverflowError,):
+        return None
+    if any(column.dtype.kind not in _NUMERIC for column in columns):
+        return None
+    return columns
+
+
+def _flat_rows(args: Tuple[Any, ...]) -> Optional[Tuple[List[np.ndarray], bool]]:
+    """A request's arguments broadcast against each other into equal 1-D
+    numeric arrays, and whether its answer is a scalar; None when it must
+    be served alone.
+
+    Each request broadcasts *before* stacking: a request like (scalar a,
+    array b) must occupy the same rows in every column, or neighbours'
+    a/b pairs would silently cross.  N-d arguments would split back
+    wrongly, and a request with no points still fails alone on an entry
+    its kind cannot serve, so both are served alone.
+    """
+    try:
+        arrays = [np.asarray(arg) for arg in args]
     except _REQUEST_ERRORS:
-        return None, alone + indices
-    columns = [
-        np.concatenate([broadcast[position] for broadcast in broadcasts])
-        for position in range(len(broadcasts[0]))
-    ]
-    lengths = [broadcast[0].size for broadcast in broadcasts]
-    scalars = [all(np.ndim(arg) == 0 for arg in args) for args in stackable]
-    return (group.name, group.kind, indices, columns, (lengths, scalars)), alone
-
-
-def _unstack(
-    stacked: np.ndarray, lengths: List[int], scalars: List[bool]
-) -> List[Any]:
-    """Split a stacked answer back per request.  Each slice is copied out:
-    a view would pin the whole group's array alive for as long as any one
-    result is retained."""
-    values: List[Any] = []
-    offset = 0
-    for length, scalar in zip(lengths, scalars):
-        piece = stacked[offset : offset + length]
-        values.append(piece[0].item() if scalar else piece.copy())
-        offset += length
-    return values
+        return None
+    shape = arrays[0].shape
+    same = scalar = True
+    for array in arrays:
+        if array.ndim > 1 or array.dtype.kind not in _NUMERIC:
+            return None
+        scalar = scalar and not array.ndim
+        same = same and array.shape == shape
+    if same and len(shape) == 1:
+        rows = arrays
+    else:
+        try:
+            rows = np.broadcast_arrays(*[np.atleast_1d(a) for a in arrays])
+        except ValueError:
+            return None
+    return (rows, scalar) if rows[0].size else None

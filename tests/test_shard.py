@@ -12,6 +12,7 @@ and the concurrent refresh-while-query stress test (``-m slow``).
 """
 
 import asyncio
+import collections
 import io
 import json
 import shutil
@@ -711,6 +712,81 @@ class TestColumnarParity:
             if isinstance(value, np.ndarray):
                 assert result.value.dtype == value.dtype, request
             assert np.array_equal(result.value, value), request
+
+
+# --------------------------------------------------------------------- #
+# One kernel call per (shard job, kind)
+# --------------------------------------------------------------------- #
+
+#: The PrefixTable methods a stacked call goes through.
+KERNEL_METHODS = ("range_sum", "cdf", "quantile")
+
+
+def count_kernel_calls(monkeypatch):
+    """Wrap the kernel methods on the class, as the end-to-end tracer
+    does, and count their calls per method."""
+    calls = collections.Counter()
+    for method in KERNEL_METHODS:
+        original = PrefixTable.__dict__[method]
+
+        def wrapper(table, *args, _original=original, _method=method, **kwargs):
+            calls[_method] += 1
+            return _original(table, *args, **kwargs)
+
+        monkeypatch.setattr(PrefixTable, method, wrapper)
+    return calls
+
+
+@pytest.fixture
+def scalar_batch():
+    """1,500 scalar requests of three kinds over 10 entries on 2 shards."""
+    router = ShardRouter(num_shards=2)
+    populate(router, NAMES)
+    rng = np.random.default_rng(21)
+    kinds = rng.choice(KERNEL_METHODS, 1500, p=[0.7, 0.15, 0.15]).tolist()
+    names = rng.choice(NAMES, 1500).tolist()
+    a, b = np.sort(rng.integers(0, 240, (2, 1500)), axis=0).tolist()
+    q = rng.random(1500).tolist()
+    requests = [
+        QueryRequest(kind, name, (
+            (a[i], b[i]) if kind == "range_sum"
+            else (q[i],) if kind == "quantile" else (a[i],)
+        ))
+        for i, (kind, name) in enumerate(zip(kinds, names))
+    ]
+    assert len({router.shard_map.shard_of(name) for name in names}) == 2
+    with AsyncServingFrontend(router) as fe:
+        yield router, fe, requests
+
+
+class TestKernelCallsPerShardJob:
+    def test_one_call_per_shard_job_and_kind(self, scalar_batch, monkeypatch):
+        router, fe, requests = scalar_batch
+        calls = count_kernel_calls(monkeypatch)
+        results = fe.serve(requests)
+        # Each of the 2 shard jobs holds requests of all 3 kinds.
+        assert calls == {method: 2 for method in KERNEL_METHODS}
+        for request, result in zip(requests, results):
+            version, table = router.table_versioned(request.name)
+            assert result.ok and result.version == version
+            assert result.value == getattr(table, request.kind)(*request.args)
+
+    def test_a_bad_request_costs_one_extra_call(self, scalar_batch, monkeypatch):
+        router, fe, requests = scalar_batch
+        good = fe.serve(requests)
+        bad = QueryRequest("range_sum", NAMES[3], (0, 10_000))
+        batch = requests[:700] + [bad] + requests[700:]
+        calls = count_kernel_calls(monkeypatch)
+        results = fe.serve(batch)
+        assert sum(calls.values()) == 2 * len(KERNEL_METHODS) + 1
+        table = router.table_versioned(NAMES[3])[1]
+        with pytest.raises(ValueError) as alone:
+            table.range_sum(0, 10_000)
+        assert results[700].error == str(alone.value)
+        for before, after in zip(good, results[:700] + results[701:]):
+            assert after.ok and after.version == before.version
+            assert type(after.value) is type(before.value)
+            assert after.value == before.value
 
 
 # --------------------------------------------------------------------- #

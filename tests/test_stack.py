@@ -1,0 +1,282 @@
+"""The stacked prefix evaluator against the frozen one-table reference.
+
+Every read goes through ``repro.core.integral.PrefixStack``: one
+``searchsorted`` over per-entry key offsets plus one Horner pass, under
+``PrefixTable`` (one table is the one-entry stack) and ``CohortTable``.
+The property here stacks 1-5 tables of every family and checks each
+stacked answer, and each row's rejection, against
+``helpers.reference_answer`` on the row's own entry, byte for byte.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import (
+    Histogram,
+    PiecewisePolynomial,
+    PrefixTable,
+    SparseFunction,
+    fit_polynomial,
+)
+from repro.core.integral import PrefixStack
+from repro.serve.builders import build_synopsis
+
+from helpers import (
+    _partitions,
+    dense_arrays,
+    histograms,
+    piecewise_polynomials,
+    positive_dense_arrays,
+    reference_answer,
+    reference_integral,
+    sparse_functions,
+    wavelet_synopses,
+)
+
+KINDS = ("range_sum", "range_mean", "point_mass", "cdf", "quantile")
+
+
+@st.composite
+def _built(draw, family):
+    """A synopsis of a random series, built by a serving family."""
+    data = draw(dense_arrays(min_size=1, max_size=40))
+    k = draw(st.integers(1, 6))
+    return build_synopsis(data, family, k, measure_error=False).synopsis
+
+
+@st.composite
+def _monotone_polys(draw):
+    """Piecewise polynomials of positive data, whose prefix is usually
+    monotone: quantile then takes the bisection fallback."""
+    dense = draw(positive_dense_arrays(min_size=1, max_size=30))
+    q = SparseFunction.from_dense(dense)
+    partition = draw(_partitions(q.n))
+    degree = draw(st.integers(1, 3))
+    return PiecewisePolynomial(
+        q.n, [fit_polynomial(q, a, b, degree) for a, b in partition]
+    )
+
+
+SYNOPSES = st.one_of(
+    _built("merging"),
+    _built("gks"),
+    _built("exact"),
+    wavelet_synopses(),
+    sparse_functions(),
+    histograms(),
+    piecewise_polynomials(),
+    _monotone_polys(),
+)
+
+
+@st.composite
+def _position(draw, n):
+    """A position of a domain of size ``n``: mostly valid, sometimes one
+    step outside it, an integral float or a non-integral one."""
+    form = draw(st.sampled_from(["int"] * 6 + ["float", "low", "high", "half"]))
+    if form == "low":
+        return -1
+    if form == "high":
+        return n
+    x = draw(st.integers(0, n - 1))
+    if form == "float":
+        return float(x)
+    if form == "half":
+        return x + 0.5
+    return x
+
+
+@st.composite
+def _rows(draw, kind, ns):
+    """``(entries, args)`` of a stacked call: entry codes in any order and
+    one argument tuple per row."""
+    count = draw(st.integers(1, 24))
+    entries = draw(
+        st.lists(st.integers(0, len(ns) - 1), min_size=count, max_size=count)
+    )
+    args = []
+    for entry in entries:
+        n = ns[entry]
+        if kind in ("range_sum", "range_mean"):
+            a, b = draw(_position(n)), draw(_position(n))
+            if draw(st.booleans()):
+                a, b = sorted((a, b))
+            args.append((a, b))
+        elif kind == "quantile":
+            level = st.floats(0.0, 1.0, allow_nan=False)
+            args.append((draw(st.one_of(level, level, st.sampled_from(
+                [0.0, 1.0, -0.05, 1.05]))),))
+        else:
+            args.append((draw(_position(n)),))
+    return entries, args
+
+
+def _outcome(call):
+    """``(answer, None)`` or ``(None, error)`` of a call."""
+    try:
+        return call(), None
+    except (ValueError, IndexError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _same(got, want):
+    """Byte-for-byte equality of two answers, types included."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(want, np.ndarray):
+        return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestStackedEvaluator:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_answer_equals_its_entry_reference(self, data):
+        synopses = data.draw(st.lists(SYNOPSES, min_size=1, max_size=5))
+        tables = [PrefixTable.from_synopsis(synopsis) for synopsis in synopses]
+        prefixes = [table.prefix for table in tables]
+        ns = [prefix.n for prefix in prefixes]
+        stack = PrefixTable.stack(tables)
+        for kind in KINDS:
+            entries, args = data.draw(_rows(kind, ns))
+            codes = np.array(entries, dtype=np.intp)
+            columns = [np.array(column) for column in zip(*args)]
+            # A row is rejected exactly when it fails on its own entry.
+            alone = [
+                _outcome(lambda e=e, a=a: reference_answer(prefixes[e], kind, *a))[1]
+                for e, a in zip(entries, args)
+            ]
+            rejected = stack.rejected(kind, columns, codes)
+            assert rejected.tolist() == [error is not None for error in alone]
+            # The whole call fails with the error one rejected row gets alone.
+            value, error = _outcome(lambda: getattr(stack, kind)(*columns, codes))
+            if rejected.any():
+                assert error in {e for e in alone if e is not None}
+            else:
+                assert error is None
+            # The accepted rows answer as their own entry's table.
+            keep = ~rejected
+            if not keep.any():
+                continue
+            kept = [column[keep] for column in columns]
+            got = getattr(stack, kind)(*kept, codes[keep])
+            for entry in np.unique(codes[keep]).tolist():
+                mine = codes[keep] == entry
+                own = [column[mine] for column in kept]
+                want = reference_answer(prefixes[entry], kind, *own)
+                assert _same(got[mine], want), (kind, entry)
+                # The unstacked table is the one-entry case.
+                assert _same(getattr(tables[entry], kind)(*own), want)
+                first = [column[0].item() for column in own]
+                assert _same(
+                    getattr(tables[entry], kind)(*first),
+                    reference_answer(prefixes[entry], kind, *first),
+                )
+
+    @settings(max_examples=100, deadline=None)
+    @given(synopsis=SYNOPSES, data=st.data())
+    def test_integral_matches_reference(self, synopsis, data):
+        table = PrefixTable.from_synopsis(synopsis)
+        xs = np.array(
+            data.draw(st.lists(st.integers(0, table.n), min_size=0, max_size=20)),
+            dtype=np.int64,
+        )
+        want = reference_integral(table.prefix, xs)
+        assert _same(table.prefix.integral(xs), want)
+        assert _same(table.integral(xs), want)
+        if isinstance(synopsis, Histogram):
+            assert _same(synopsis.prefix_integral(xs), want)
+
+
+class TestPositionsMustBeIntegers:
+    """The prefix primitives reject a non-integral position instead of
+    truncating it; out-of-range positions still raise IndexError."""
+
+    def test_prefix_primitives(self):
+        dense = np.arange(1.0, 17.0)
+        histogram = Histogram.from_dense(dense)
+        sparse = SparseFunction.from_dense(dense)
+        poly = build_synopsis(dense, "poly", 2, measure_error=False).synopsis
+        table = PrefixTable.from_synopsis(histogram)
+        calls = [
+            table.integral,
+            table.prefix.integral,
+            histogram.prefix_integral,
+            sparse.prefix_integral,
+            poly.prefix_integral,
+            PrefixTable.from_synopsis(poly).integral,
+        ]
+        for call in calls:
+            for bad in (1.5, np.array([2, 0.5]), float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="positions must be integers"):
+                    call(bad)
+            assert call(3.0) == call(3)
+            with pytest.raises(IndexError, match="must lie in"):
+                call(17)
+            with pytest.raises(IndexError, match="must lie in"):
+                call(-1)
+        assert table.integral(1) == 1.0
+        with pytest.raises(ValueError, match="got 1.5"):
+            table.integral(1.5)
+
+
+class TestLongCalls:
+    def test_passes_answer_like_one_evaluation(self):
+        """A call of more points than one pass evaluates is split into
+        passes; every answer still equals its entry's reference."""
+        rng = np.random.default_rng(7)
+        synopses = [
+            build_synopsis(rng.random(300), family, 6, measure_error=False).synopsis
+            for family in ("merging", "poly", "wavelet")
+        ]
+        tables = [PrefixTable.from_synopsis(synopsis) for synopsis in synopses]
+        stack = PrefixTable.stack(tables)
+        entries = rng.integers(0, 3, 10_000).astype(np.intp)
+        a, b = np.sort(rng.integers(0, 300, (2, 10_000)), axis=0)
+        got = stack.range_sum(a, b, entries)
+        for entry, table in enumerate(tables):
+            mine = entries == entry
+            want = reference_answer(table.prefix, "range_sum", a[mine], b[mine])
+            assert _same(got[mine], want)
+        xs = rng.integers(0, 301, 10_000)
+        assert _same(
+            tables[1].prefix.integral(xs), reference_integral(tables[1].prefix, xs)
+        )
+
+
+class TestQuantileBisection:
+    def test_each_entry_searches_as_if_alone(self):
+        """On this polynomial F(n) rounds just below the total mass, so a
+        level of 1.0 never reaches it: alone, the search stops at n - 1,
+        but every extra step moves it to n.  A stacked search must step
+        an entry only while that entry's own points are open."""
+        q = SparseFunction.from_dense(np.array([8.0, 7.0]))
+        poly = PiecewisePolynomial(2, [fit_polynomial(q, 0, 1, 3)])
+        table = PrefixTable.from_synopsis(poly)
+        assert table.prefix.is_nondecreasing and not table.prefix.is_piecewise_linear
+        assert reference_integral(table.prefix, 2) < table.prefix.total_mass
+        ramp = SparseFunction.from_dense(np.arange(1.0, 65.0))
+        wide = PrefixTable.from_synopsis(
+            PiecewisePolynomial(64, [fit_polynomial(ramp, 0, 63, 1)])
+        )
+        assert wide.prefix.is_nondecreasing and not wide.prefix.is_piecewise_linear
+        stack = PrefixTable.stack([table, wide])
+        levels = np.array([1.0, 0.3])
+        got = stack.quantile(levels, np.array([0, 1]))
+        assert got[0] == reference_answer(table.prefix, "quantile", levels[:1])[0] == 1
+        assert got[1] == reference_answer(wide.prefix, "quantile", levels[1:])[0]
+
+
+class TestStackLayout:
+    def test_one_table_shares_its_arrays(self):
+        table = PrefixTable.from_synopsis(Histogram.from_dense(np.arange(1.0, 9.0)))
+        stack = table.evaluator
+        assert stack is table.prefix.as_stack()
+        assert stack.lefts is table.prefix.lefts
+        assert stack.keys is table.prefix.lefts
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValueError, match="at least one table"):
+            PrefixStack([])
