@@ -59,7 +59,7 @@ from repro import (
     SynopsisStore,
 )
 from repro.obs import get_default_registry
-from repro.serve import CohortTable
+from repro.core.integral import PrefixStack
 from repro.serve.persistence import load_store, save_store
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -275,9 +275,17 @@ def _measure_group() -> dict:
         "top_m": GROUP_TOP_M,
         "answers_equal": equal,
         "first_query_ms": build_ms,
-        "table_bytes_per_member": CohortTable(tables).nbytes / GROUP_MEMBERS,
+        "table_bytes_per_member": _stack_bytes(tables) / GROUP_MEMBERS,
         "legs": legs,
     }
+
+
+def _stack_bytes(tables) -> int:
+    """Bytes held by the arrays of the members' stacked table (the stack
+    a ``CohortTable`` holds)."""
+    stack = PrefixStack([table.prefix for table in tables])
+    arrays = (stack.ns, stack.offsets, stack.keys, stack.lefts, stack.lengths)
+    return sum(array.nbytes for array in arrays + (stack.base, stack._coeffs))
 
 
 def _gates(register: dict, residency: dict, group: dict) -> list:

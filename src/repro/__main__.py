@@ -23,10 +23,8 @@ Serving commands:
   auto-planned entry's decision record;
   ``--window W`` adds a sliding-window streaming entry answering the
   ``heavy`` command (approximate heavy hitters over the live window);
-  ``rebalance`` runs one skew-aware placement pass — migrating hot
-  entries off crowded shards by decayed QPS (threshold via
-  ``--hot-qps``) — and
-  ``--rebalance-interval S`` runs that same pass in the background
+  ``inspect <name>`` prints one entry's metadata, shard and whether it
+  holds its prefix table, and ``cache`` the engines' hit/miss counters
 * ``save``        — build synopses and persist the store to a directory
   of memory-mappable segments (``--shards N`` writes the sharded layout;
   ``--families auto`` plans)
@@ -39,9 +37,7 @@ Serving commands:
 * ``metrics``     — load a persisted store, probe it with batched
   queries, and print the metrics exposition (``--format text`` for
   Prometheus text format, ``json`` for the percentile readout;
-  ``--no-probe`` reports registry state without touching payloads;
-  ``--top N`` prints the N hottest entries by decayed QPS with cache
-  hit rates instead of the exposition)
+  ``--no-probe`` reports registry state without touching payloads)
 
 Run ``python -m repro <command> --help`` for per-command options.
 """

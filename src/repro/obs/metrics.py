@@ -400,29 +400,6 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-
-    def drop(self, **labels: Any) -> int:
-        """Remove every metric whose labels include all given pairs.
-
-        The per-entity lifecycle hook: removing a store entry drops its
-        per-entry cache series (``registry.drop(entry=name)``) so a
-        long-lived server churning entries does not leak series.
-        Returns the number of series removed.
-        """
-        if not labels:
-            raise ValueError("drop() requires at least one label to match")
-        wanted = set(_label_key(labels))
-        with self._lock:
-            doomed = [
-                key for key in self._metrics if wanted <= set(key[1])
-            ]
-            for key in doomed:
-                del self._metrics[key]
-        return len(doomed)
-
     def merge_from(self, other: "MetricsRegistry") -> None:
         """Fold another registry's series into this one.
 
@@ -466,9 +443,6 @@ class NullRegistry(MetricsRegistry):
 
     def collect(self) -> List[Tuple[str, Dict[str, str], Any]]:
         return []
-
-    def drop(self, **labels: Any) -> int:
-        return 0
 
     def merge_from(self, other: "MetricsRegistry") -> None:
         pass

@@ -25,14 +25,15 @@ into a queryable system:
   ``range_sum`` / ``range_mean`` / ``point_mass`` / ``cdf`` /
   ``quantile`` / ``top_k_buckets`` evaluation over the store, from the
   one :class:`PrefixTable` prefix-integral table each store entry holds
-  for its current synopsis (per-entry hit/miss accounting, thread-safe).
+  for its current synopsis (engine-wide hit/miss counters, thread-safe).
 * :mod:`repro.serve.cohorts` — the one cohort registry a store and a
   router each hold: ordered, validated member lists, one cached
   :class:`CohortTable` per named cohort keyed by the members' version
   vector, and the manifest's ``"cohorts"`` table.
 * :mod:`repro.serve.router` — :class:`ShardRouter`, name-sharded serving
   over N concurrent store/engine pairs with an explicit, persisted
-  :class:`ShardMap` (resharding is a deliberate migration).
+  :class:`ShardMap`: new names land by stable hash, and only an explicit
+  ``migrate`` or a sticky ``reshard`` moves an entry.
 * :mod:`repro.serve.frontend` — :class:`AsyncServingFrontend`, an
   asyncio front end fanning multi-name query batches out per shard on a
   thread pool, answering each shard job's requests of one kind with one
@@ -94,7 +95,6 @@ from .persistence import (
     save_sharded,
     save_store,
 )
-from .loadstats import HotnessTracker, RebalanceAction, Rebalancer
 from .router import Shard, ShardMap, ShardRouter, stable_shard
 from .store import (
     StoreEntry,
@@ -115,14 +115,11 @@ __all__ = [
     "CohortTable",
     "FamilySpec",
     "GROUP_QUERY_KINDS",
-    "HotnessTracker",
     "LEARNER_KINDS",
     "PrefixTable",
     "QueryEngine",
     "QueryRequest",
     "QueryResult",
-    "RebalanceAction",
-    "Rebalancer",
     "ResidencyManager",
     "Shard",
     "ShardMap",

@@ -24,10 +24,11 @@ directories are detected automatically)::
     cohort                    list the defined cohorts
     cohort <name> <members...>  define (or redefine) a named cohort
     summary                   store metadata
-    inspect <name>            one entry: metadata, shard, cache counters
+    inspect <name>            one entry: metadata, shard, held table
     plan <name>               an auto-planned entry's decision record
     shards                    per-shard entry counts
-    cache                     cache statistics (global + per entry)
+    cache                     table hits and misses over every shard
+    metrics [text|json]       the metrics exposition
     save <dir>                persist the store (atomic replace)
     quit                      exit
 
@@ -77,7 +78,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import threading
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
@@ -103,7 +103,6 @@ from .persistence import (
     read_manifest,
     read_sharded_manifest,
 )
-from .loadstats import HotnessTracker, Rebalancer
 from .planner import BuildBudget
 from .residency import ResidencyManager
 from .router import ShardRouter
@@ -594,12 +593,6 @@ def _print_answer(out, value) -> None:
         print(value, file=out)
 
 
-def _print_cache_info(out, info: dict) -> None:
-    print(f"cache: hits={info['hits']} misses={info['misses']}", file=out)
-    for name, stats in info.get("entries", {}).items():
-        print(f"  {name}: hits={stats['hits']} misses={stats['misses']}", file=out)
-
-
 def serve_main(
     argv: Optional[Sequence[str]] = None,
     stdin: Optional[TextIO] = None,
@@ -620,22 +613,6 @@ def serve_main(
         help="serve a persisted store directory (lazy; plain or sharded, "
         "detected automatically) instead of building synopses from "
         "--dataset/--families",
-    )
-    parser.add_argument(
-        "--rebalance-interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="run the skew-aware rebalancer in a background thread every "
-        "SECONDS",
-    )
-    parser.add_argument(
-        "--hot-qps",
-        type=float,
-        default=1.0,
-        metavar="QPS",
-        help="decayed per-entry QPS above which the rebalancer migrates an "
-        "entry to a dedicated shard (demotion at half this; default 1.0)",
     )
     parser.add_argument(
         "--max-resident-bytes",
@@ -673,36 +650,15 @@ def serve_main(
         f"{router.num_shards} shard(s) "
         f"({', '.join(router.names())}); "
         f"commands: range mean point cdf quantile topk inner heavy group "
-        f"cohort summary inspect plan shards cache metrics rebalance save "
-        f"quit",
+        f"cohort summary inspect plan shards cache metrics save quit",
         file=out,
     )
-    rebalancer = Rebalancer(HotnessTracker(), hot_qps=args.hot_qps)
     residency = None
     if args.max_resident_bytes is not None:
         residency = ResidencyManager(args.max_resident_bytes)
         for shard in router.shards:
             residency.watch(shard.store)
         residency.enforce()
-
-    stop_rebalancing = threading.Event()
-    if args.rebalance_interval is not None:
-        if args.rebalance_interval <= 0:
-            raise SystemExit(
-                f"error: --rebalance-interval must be positive, "
-                f"got {args.rebalance_interval}"
-            )
-
-        def _rebalance_loop() -> None:
-            while not stop_rebalancing.wait(args.rebalance_interval):
-                try:
-                    rebalancer.rebalance(router)
-                except Exception as exc:  # keep serving; surface the failure
-                    print(f"rebalance failed: {exc}", file=sys.stderr)
-
-        threading.Thread(
-            target=_rebalance_loop, daemon=True, name="repro-rebalance"
-        ).start()
     for line in src:
         words = line.split()
         if not words:
@@ -718,25 +674,15 @@ def serve_main(
                 _save_router(router, words[1])
                 print(f"saved {len(router)} entries to {words[1]}", file=out)
             elif cmd == "cache":
-                _print_cache_info(out, router.cache_info())
+                info = router.cache_info()
+                print(f"cache: hits={info['hits']} misses={info['misses']}", file=out)
             elif cmd == "metrics":
                 _print_metrics(out, router, words[1] if len(words) > 1 else "text")
-            elif cmd == "rebalance":
-                changes = [
-                    action.describe() for action in rebalancer.rebalance(router)
-                ]
-                for change in changes:
-                    print(change, file=out)
-                if not changes:
-                    print("(no placement changes)", file=out)
             elif cmd == "inspect":
                 meta = router.describe(words[1])
                 print(_summary_line(meta), file=out)
-                stats = router.entry_cache_info(words[1])
-                print(
-                    f"  cache: hits={stats['hits']} misses={stats['misses']}",
-                    file=out,
-                )
+                held = router[words[1]].table is not None
+                print(f"  table: {'held' if held else 'not held'}", file=out)
             elif cmd == "shards":
                 for shard in router.shards:
                     row = shard.store.residency()
@@ -849,7 +795,6 @@ def serve_main(
             StoreCorruptionError,
         ) as exc:
             print(f"error: {exc}", file=out)
-    stop_rebalancing.set()
     return 0
 
 
@@ -883,22 +828,11 @@ def metrics_main(
         help="report registry state without querying any entry: no "
         "payload is hydrated, so a cold store renders instantly",
     )
-    parser.add_argument(
-        "--top",
-        type=int,
-        default=None,
-        metavar="N",
-        help="instead of the exposition, print the N hottest entries by "
-        "decayed QPS estimate with their cache hit rates (the skew view "
-        "an operator reads before rebalancing)",
-    )
     _shards_argument(parser)
     args = parser.parse_args(argv)
     out = sys.stdout if stdout is None else stdout
     if args.queries < 1:
         raise SystemExit(f"--queries must be positive, got {args.queries}")
-    if args.top is not None and args.top < 1:
-        raise SystemExit(f"--top must be positive, got {args.top}")
 
     router = _load_router_or_exit(
         args.store_dir, lazy=True, expect_shards=args.shards
@@ -916,18 +850,7 @@ def metrics_main(
                 # stderr, not the exposition stream: a failed probe must not
                 # corrupt the JSON document or the text-format payload.
                 print(f"probe of {name!r} failed: {exc}", file=sys.stderr)
-    if args.top is not None:
-        tracker = HotnessTracker()
-        tracker.fold(_merged_registry(router))
-        ranked = tracker.top(args.top)
-        if not ranked:
-            print("(no queries observed)", file=out)
-        for name, qps in ranked:
-            rate = tracker.hit_rate(name)
-            hit = "-" if rate is None else f"{rate:.0%}"
-            print(f"{name}: {qps:.2f} qps (cache hit rate {hit})", file=out)
-    else:
-        _print_metrics(out, router, args.format)
+    _print_metrics(out, router, args.format)
     return 0
 
 

@@ -37,7 +37,6 @@ pools scale.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -87,8 +86,8 @@ def _bad_points(x: np.ndarray, n: Any) -> np.ndarray:
 
 
 def _bad_levels(q: np.ndarray) -> np.ndarray:
-    """Quantile levels outside ``[0, 1]``."""
-    return (q < 0.0) | (q > 1.0)
+    """Quantile levels outside ``[0, 1]``, NaN included."""
+    return ~((q >= 0.0) & (q <= 1.0))
 
 
 def _first(values: Any, bad: np.ndarray) -> int:
@@ -381,27 +380,21 @@ class PrefixTable:
     def _quantile_bisect(self, targets: np.ndarray, entries: Any) -> np.ndarray:
         """Vectorized binary search; requires nondecreasing prefixes.
 
-        A point moves only while some point of its own entry is still
-        open, so each entry steps exactly as a search over its points
-        alone would.
+        Only open points (``lo < hi``) move, so every answer stays in
+        ``[0, n_e)`` and equals a search over that point alone, whatever
+        else shares the call.
         """
         stack = self.evaluator
         lo = np.zeros(targets.shape, dtype=np.int64)
         hi = np.broadcast_to(_per_point(stack.ns, entries) - 1, targets.shape)
         while True:
             open_ = lo < hi
-            if entries is None:
-                live = open_.any()
-            else:
-                live_entries = np.zeros(stack.ns.size, dtype=bool)
-                live_entries[entries[open_]] = True
-                live = live_entries[entries]
-            if not np.any(live):
+            if not open_.any():
                 return lo
             mid = (lo + hi) >> 1
             reached = stack.integral(mid + 1, entries) >= targets
-            hi = np.where(live & reached, mid, hi)
-            lo = np.where(live & ~reached, mid + 1, lo)
+            hi = np.where(open_ & reached, mid, hi)
+            lo = np.where(open_ & ~reached, mid + 1, lo)
 
     def rejected(
         self, kind: str, columns: Sequence[np.ndarray], entries: np.ndarray
@@ -490,31 +483,20 @@ class CacheStats:
 
     A hit is a read that found the table its entry holds; a miss is a
     read that built one (one ``PrefixTable.from_synopsis`` call).  The
-    engine keeps one engine-global instance plus one per entry name, so
-    table traffic is reportable per entry.
+    engine keeps one instance for all its entries, so its series do not
+    grow with the number of entries; whether one entry holds its table is
+    ``StoreEntry.table is not None``.
 
-    The counts live in :class:`~repro.obs.metrics.Counter` instruments —
-    normally registered in the engine's
+    The counts live in the two :class:`~repro.obs.metrics.Counter`
+    instruments it is given, registered in the engine's
     :class:`~repro.obs.metrics.MetricsRegistry`, so ``cache_info()`` is a
-    view over the same series the ``/metrics`` exposition serves; a
-    standalone ``CacheStats()`` owns private counters.
+    view over the same series the ``/metrics`` exposition serves.
     """
 
     __slots__ = ("_hits", "_misses")
 
-    def __init__(
-        self,
-        hits: int = 0,
-        misses: int = 0,
-        counters: Optional[Tuple[Any, Any]] = None,
-    ) -> None:
-        if counters is not None:
-            self._hits, self._misses = counters
-        else:
-            self._hits, self._misses = Counter(), Counter()
-        for counter, initial in ((self._hits, hits), (self._misses, misses)):
-            if initial:
-                counter.inc(initial)
+    def __init__(self, hits: Counter, misses: Counter) -> None:
+        self._hits, self._misses = hits, misses
 
     def hit(self) -> None:
         self._hits.inc()
@@ -574,20 +556,15 @@ class QueryEngine:
         self.registry = MetricsRegistry() if registry is None else registry
         self._labels = {k: str(v) for k, v in (labels or {}).items()}
         self.stats = CacheStats(
-            counters=(
-                self.registry.counter(
-                    "engine_cache_hits_total",
-                    "prefix-table cache hits",
-                    **self._labels,
-                ),
-                self.registry.counter(
-                    "engine_cache_misses_total",
-                    "prefix-table cache misses (table builds)",
-                    **self._labels,
-                ),
-            )
+            self.registry.counter(
+                "engine_cache_hits_total", "prefix-table cache hits", **self._labels
+            ),
+            self.registry.counter(
+                "engine_cache_misses_total",
+                "prefix-table cache misses (table builds)",
+                **self._labels,
+            ),
         )
-        self._entry_stats: Dict[str, CacheStats] = {}
         # Pre-created per-kind instruments: the query hot path must not
         # pay a registry lookup (dict + label-key build) per call.
         self._instruments = {
@@ -607,30 +584,8 @@ class QueryEngine:
             )
             for kind in self.QUERY_KINDS
         }
-        # Guards the per-entry stats map only; snapshots, table builds
-        # and evaluation all run outside it.
-        self._lock = threading.Lock()
-        # Dropping a store entry must drop its per-entry stats too, or a
-        # long-lived server churning entries leaks one CacheStats (and
-        # one registry series) per removed name.
-        store._add_removal_listener(self)
 
     # ------------------------------------------------------------------ #
-
-    def _stats_for(self, name: str) -> CacheStats:
-        stats = self._entry_stats.get(name)
-        if stats is None:
-            stats = self._entry_stats[name] = CacheStats(
-                counters=(
-                    self.registry.counter(
-                        "engine_entry_cache_hits_total", entry=name, **self._labels
-                    ),
-                    self.registry.counter(
-                        "engine_entry_cache_misses_total", entry=name, **self._labels
-                    ),
-                )
-            )
-        return stats
 
     def _record(self, kind: str, start: float) -> None:
         self.observe_query(kind, time.perf_counter() - start)
@@ -647,18 +602,6 @@ class QueryEngine:
         histogram, counter = self._instruments[kind]
         histogram.observe(seconds)
         counter.inc()
-
-    def forget(self, name: str) -> None:
-        """Drop all per-entry state for a removed store entry.
-
-        Called by the store when ``remove(name)`` runs: the entry's
-        ``CacheStats`` is dropped and its registry series are
-        unregistered, so exposition does not accumulate series for dead
-        entries.  The table went with the store entry.
-        """
-        with self._lock:
-            self._entry_stats.pop(name, None)
-        self.registry.drop(entry=name, **self._labels)
 
     def table(self, name: str) -> PrefixTable:
         """The prefix table for store entry ``name``."""
@@ -678,14 +621,10 @@ class QueryEngine:
         threads missing on one synopsis both build and both count a miss.
         """
         version, synopsis, table = self.store.table_snapshot(name)
-        with self._lock:
-            entry_stats = self._stats_for(name)
         if table is not None:
             self.stats.hit()
-            entry_stats.hit()
             return version, table
         self.stats.miss()
-        entry_stats.miss()
         table = PrefixTable.from_synopsis(synopsis)
         self.store.keep_table(name, synopsis, table)
         return version, table
@@ -702,23 +641,9 @@ class QueryEngine:
             self.table(name)
         return len(names)
 
-    def cache_info(self) -> dict:
-        """Engine-global hit/miss counters plus the per-entry breakdown."""
-        with self._lock:
-            return {
-                "hits": self.stats.hits,
-                "misses": self.stats.misses,
-                "entries": {
-                    name: stats.as_dict()
-                    for name, stats in self._entry_stats.items()
-                },
-            }
-
-    def entry_cache_info(self, name: str) -> Dict[str, int]:
-        """Hit/miss counters for one entry (zeros if never queried)."""
-        with self._lock:
-            stats = self._entry_stats.get(name)
-            return stats.as_dict() if stats is not None else CacheStats().as_dict()
+    def cache_info(self) -> Dict[str, int]:
+        """The engine's table hits and misses over all its entries."""
+        return self.stats.as_dict()
 
     # ------------------------------------------------------------------ #
     # Queries

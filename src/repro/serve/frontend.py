@@ -609,23 +609,6 @@ class AsyncServingFrontend:
                         stackable.append(group)
                     else:
                         singles.extend(group.indices)
-                # Per-entry request volume, for the hotness tracker.  The
-                # engine's per-entry cache series counts *table accesses*
-                # — one per entry per shard job — so it undercounts load
-                # by the batch size; this series counts requests.  Looked
-                # up (not cached) so removal via ``registry.drop(entry=...)``
-                # stays effective across re-registration.
-                request_counts: Dict[str, int] = {}
-                for group in groups:
-                    request_counts[group.name] = request_counts.get(
-                        group.name, 0
-                    ) + len(group.indices)
-                for entry_name, requested in request_counts.items():
-                    self.registry.counter(
-                        "frontend_entry_requests_total",
-                        "requests addressed to the entry",
-                        entry=entry_name,
-                    ).inc(requested)
                 versions, calls, alone = _gather(shard, stackable)
                 singles.extend(alone)
             with span("evaluate", shard=shard.index, requests=routed):

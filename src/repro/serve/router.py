@@ -464,11 +464,6 @@ class ShardRouter(CohortOwner):
             shard.store.remove(name)
         # Pruned after the store removal, never under a store lock.
         self._cohorts.prune(name)
-        # The engines dropped their per-shard series via the store's
-        # removal listener; this sweeps layer-agnostic per-entry series
-        # too (the front end's request counter), so exposition does not
-        # accumulate series for dead entries.
-        self.registry.drop(entry=name)
 
     def _shard_for_registered(self, name: str) -> Shard:
         shard = self.shard_of(name)
@@ -526,20 +521,13 @@ class ShardRouter(CohortOwner):
         )
 
     def cache_info(self) -> Dict[str, Any]:
-        """Aggregated cache counters plus the per-shard breakdown."""
+        """Table hits and misses summed over shards, plus each shard's."""
         per_shard = [shard.engine.cache_info() for shard in self.shards]
-        entries: Dict[str, Dict[str, int]] = {}
-        for info in per_shard:
-            entries.update(info["entries"])
         return {
             "hits": sum(info["hits"] for info in per_shard),
             "misses": sum(info["misses"] for info in per_shard),
             "shards": per_shard,
-            "entries": entries,
         }
-
-    def entry_cache_info(self, name: str) -> Dict[str, int]:
-        return self.shard_of(name).engine.entry_cache_info(name)
 
     # ------------------------------------------------------------------ #
     # Queries (thread-safe; no router-level locking)
@@ -694,8 +682,8 @@ class ShardRouter(CohortOwner):
         growing the shard count moves nothing, shrinking it moves only
         the entries whose shard disappeared (re-derived from the new
         count's stable hash) — so a reshard never scrambles placements
-        the rebalancer (or an operator) chose deliberately.  Cohorts name
-        members, not shards, so they carry over unchanged.
+        an operator chose with :meth:`migrate`.  Cohorts name members,
+        not shards, so they carry over unchanged.
         """
         new = ShardRouter(num_shards, registry=self.registry)
         self._c_reshards.inc()

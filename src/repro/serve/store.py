@@ -36,7 +36,6 @@ prunes them after the entry is gone, never under the store lock.
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -276,10 +275,6 @@ class SynopsisStore(CohortOwner):
         # ResidencyManager.watch); consulted after snapshots to enforce
         # the global max_resident_bytes budget.
         self._residency: Optional[Any] = None
-        # Engines (and anything else caching per-entry state) register
-        # here so remove() can tell them to drop that state.  Weak refs:
-        # the store must not keep dead engines alive.
-        self._removal_listeners: "weakref.WeakSet" = weakref.WeakSet()
         self.bind_registry(
             MetricsRegistry() if registry is None else registry, labels
         )
@@ -332,10 +327,6 @@ class SynopsisStore(CohortOwner):
             "entries cooled back to their lazy payload",
             **self._labels,
         )
-
-    def _add_removal_listener(self, listener: Any) -> None:
-        """Register an object whose ``forget(name)`` runs after ``remove``."""
-        self._removal_listeners.add(listener)
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -674,17 +665,12 @@ class SynopsisStore(CohortOwner):
         with self._lock:
             entry = self._entries.pop(name)
             self._resident_add(-entry.resident_bytes)
-            listeners = list(self._removal_listeners)
         # Prune after the removal and outside the store lock (the registry
         # lock is never taken under it), so no cohort names a removed entry.
         self._cohorts.prune(name)
         residency = self._residency
         if residency is not None:
             residency.discard(self, name)
-        # Notify outside the store lock: a listener's forget() takes its
-        # own lock, which is never nested under the store lock.
-        for listener in listeners:
-            listener.forget(name)
 
     def snapshot(self, name: str) -> Tuple[int, Any]:
         """A consistent ``(version, synopsis)`` pair for entry ``name``.

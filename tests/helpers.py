@@ -210,14 +210,16 @@ def reference_quantile_linear(prefix, targets):
 
 
 def reference_quantile_bisect(prefix, targets):
-    """Vectorized binary search; requires a nondecreasing prefix."""
+    """Vectorized binary search; requires a nondecreasing prefix.  Only
+    open points move, so no answer leaves ``[0, n)``."""
     lo = np.zeros(targets.shape, dtype=np.int64)
     hi = np.full(targets.shape, prefix.n - 1, dtype=np.int64)
     while np.any(lo < hi):
+        open_ = lo < hi
         mid = (lo + hi) >> 1
         reached = reference_integral(prefix, mid + 1) >= targets
-        hi = np.where(reached, mid, hi)
-        lo = np.where(reached, lo, mid + 1)
+        hi = np.where(open_ & reached, mid, hi)
+        lo = np.where(open_ & ~reached, mid + 1, lo)
     return lo
 
 

@@ -9,9 +9,9 @@ The load-bearing properties:
 * Instrumentation is exact under concurrency: a threaded query storm
   through the async front end loses no counter increments, and the
   per-shard series sum to the front-end totals.
-* Per-entry series follow the entry lifecycle: ``SynopsisStore.remove``
-  drops the engine's per-entry stats and registry series (the leak
-  regression), and re-registering starts clean.
+* No series carries an entry label: the engine counts table hits and
+  misses over all its entries, so the registry does not grow with the
+  fleet (``tests/test_fleet.py`` checks 40 against 400 entries).
 """
 
 from __future__ import annotations
@@ -195,19 +195,6 @@ class TestMetricsRegistry:
         reg.counter("x_total")
         with pytest.raises(TypeError, match="already registered"):
             reg.gauge("x_total")
-
-    def test_drop_by_label_subset(self):
-        reg = MetricsRegistry()
-        reg.counter("hits_total", entry="a", shard="0").inc()
-        reg.counter("hits_total", entry="b", shard="0").inc()
-        reg.counter("other_total", entry="a").inc()
-        assert reg.drop(entry="a") == 2
-        assert reg.get("hits_total", entry="a", shard="0") is None
-        assert reg.get("hits_total", entry="b", shard="0") is not None
-
-    def test_drop_requires_labels(self):
-        with pytest.raises(ValueError, match="at least one label"):
-            MetricsRegistry().drop()
 
     def test_merge_from_adds_counters_and_histograms(self):
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -405,14 +392,9 @@ class TestEngineInstrumentation:
         engine = QueryEngine(store)
         engine.range_sum("a", 0, 10)
         engine.range_sum("a", 0, 10)
-        info = engine.cache_info()
-        assert info["misses"] == 1 and info["hits"] == 1
+        assert engine.cache_info() == {"hits": 1, "misses": 1}
         assert engine.registry.get("engine_cache_hits_total").value == 1
-        assert (
-            engine.registry.get("engine_entry_cache_misses_total", entry="a").value
-            == 1
-        )
-        assert info["entries"]["a"] == {"hits": 1, "misses": 1}
+        assert engine.registry.get("engine_cache_misses_total").value == 1
 
     def test_query_latency_series_per_kind(self):
         store = SynopsisStore()
@@ -434,36 +416,6 @@ class TestEngineInstrumentation:
         with pytest.raises(ValueError):
             engine.range_sum("a", 0, 10_000)  # out of range
         assert engine.registry.get("engine_queries_total", kind="range_sum").value == 1
-
-    def test_remove_drops_entry_stats_and_series(self):
-        """Regression: per-entry CacheStats used to survive remove()."""
-        store = SynopsisStore()
-        store.register("doomed", _values(), family="merging", k=8)
-        store.register("kept", _values(seed=1), family="merging", k=8)
-        engine = QueryEngine(store)
-        engine.range_sum("doomed", 0, 10)
-        engine.range_sum("kept", 0, 10)
-        assert "doomed" in engine.cache_info()["entries"]
-
-        store.remove("doomed")
-        info = engine.cache_info()
-        assert "doomed" not in info["entries"]  # stats map no longer leaks
-        assert "kept" in info["entries"]
-        assert engine.registry.get(
-            "engine_entry_cache_hits_total", entry="doomed"
-        ) is None  # registry series dropped too
-        assert engine.entry_cache_info("doomed") == {"hits": 0, "misses": 0}
-
-    def test_remove_then_reregister_starts_clean(self):
-        store = SynopsisStore()
-        store.register("a", _values(), family="merging", k=8)
-        engine = QueryEngine(store)
-        for _ in range(5):
-            engine.range_sum("a", 0, 10)
-        store.remove("a")
-        store.register("a", _values(seed=2), family="merging", k=8)
-        engine.range_sum("a", 0, 10)
-        assert engine.entry_cache_info("a") == {"hits": 0, "misses": 1}
 
     def test_engines_have_isolated_registries_by_default(self):
         store = SynopsisStore()

@@ -320,25 +320,6 @@ class TestCache:
         assert engine.range_sum("a", 32, 63) == pytest.approx(0.0)
         assert engine.cache_info()["misses"] == 2
 
-    def test_per_entry_stats(self):
-        """Cache counters are attributable per entry, not just globally."""
-        store = SynopsisStore()
-        values = random_distribution(128)
-        for name in ("hot", "cold"):
-            store.register(name, values, family="merging", k=4)
-        engine = QueryEngine(store)
-        for _ in range(5):
-            engine.range_sum("hot", 0, 10)
-        engine.range_sum("cold", 0, 10)
-        info = engine.cache_info()
-        assert info["entries"]["hot"] == {"hits": 4, "misses": 1}
-        assert info["entries"]["cold"] == {"hits": 0, "misses": 1}
-        assert engine.entry_cache_info("hot")["hits"] == 4
-        assert engine.entry_cache_info("never-queried") == {"hits": 0, "misses": 0}
-        # Global counters are exactly the per-entry sums.
-        assert info["hits"] == sum(s["hits"] for s in info["entries"].values())
-        assert info["misses"] == sum(s["misses"] for s in info["entries"].values())
-
     def test_stale_racing_build_does_not_clobber_newer_table(self):
         """A table built from a stale snapshot (a re-register landed
         mid-build) answers its own version, and the entry never holds it."""

@@ -8,19 +8,28 @@ stacked answer, and each row's rejection, against
 ``helpers.reference_answer`` on the row's own entry, byte for byte.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    AsyncServingFrontend,
     Histogram,
     PiecewisePolynomial,
     PrefixTable,
+    QueryEngine,
+    QueryRequest,
+    ShardRouter,
     SparseFunction,
+    SynopsisStore,
+    family_spec,
     fit_polynomial,
 )
 from repro.core.integral import PrefixStack
+from repro.serve import builders
 from repro.serve.builders import build_synopsis
 
 from helpers import (
@@ -246,12 +255,29 @@ class TestLongCalls:
         )
 
 
+#: A series whose one cubic fit has F(n) one rounding step below its total
+#: mass, so a level of 1.0 never reaches it: a search that steps a closed
+#: point again moves it from n - 1 = 5 to n = 6, outside the domain.
+CUBIC_DATA = np.array([9.0, 4.0, 7.0, 5.0, 5.0, 7.0])
+
+
+def _one_cubic(q, k):
+    return PiecewisePolynomial(q.n, [fit_polynomial(q, 0, q.n - 1, 3)])
+
+
+@pytest.fixture
+def cubic_family(monkeypatch):
+    """A serving family, for this test only, that fits one cubic."""
+    spec = dataclasses.replace(family_spec("poly"), name="one_cubic", fn=_one_cubic)
+    monkeypatch.setitem(builders._BUILDERS, "one_cubic", spec)
+    return "one_cubic"
+
+
 class TestQuantileBisection:
     def test_each_entry_searches_as_if_alone(self):
         """On this polynomial F(n) rounds just below the total mass, so a
         level of 1.0 never reaches it: alone, the search stops at n - 1,
-        but every extra step moves it to n.  A stacked search must step
-        an entry only while that entry's own points are open."""
+        but every extra step moves it to n.  Only open points move."""
         q = SparseFunction.from_dense(np.array([8.0, 7.0]))
         poly = PiecewisePolynomial(2, [fit_polynomial(q, 0, 1, 3)])
         table = PrefixTable.from_synopsis(poly)
@@ -267,6 +293,72 @@ class TestQuantileBisection:
         got = stack.quantile(levels, np.array([0, 1]))
         assert got[0] == reference_answer(table.prefix, "quantile", levels[:1])[0] == 1
         assert got[1] == reference_answer(wide.prefix, "quantile", levels[1:])[0]
+
+    def test_closed_points_stay_in_the_domain(self, cubic_family):
+        """A closed point stays put while another point of its own entry
+        is still open: level 1.0 answers n - 1 = 5 with or without 0.3
+        beside it, alone, stacked and on the engine."""
+        cubic = _one_cubic(SparseFunction.from_dense(CUBIC_DATA), 1)
+        table = PrefixTable.from_synopsis(cubic)
+        assert table.prefix.is_nondecreasing and not table.prefix.is_piecewise_linear
+        assert reference_integral(table.prefix, 6) < table.prefix.total_mass
+        levels = np.array([1.0, 0.3])
+        assert table.quantile(1.0) == 5
+        assert table.quantile(levels).tolist() == [5, 1]
+        other = PrefixTable.from_synopsis(Histogram.from_dense(np.arange(1.0, 17.0)))
+        stack = PrefixTable.stack([other, table])
+        got = stack.quantile(np.array([1.0, 0.5, 0.3]), np.array([1, 0, 1]))
+        assert got.tolist() == [5, 11, 1]
+        store = SynopsisStore()
+        store.register("cubic", CUBIC_DATA, family=cubic_family, k=1)
+        assert QueryEngine(store).quantile("cubic", levels).tolist() == [5, 1]
+
+    def test_front_end_batch_stays_in_the_domain(self, cubic_family):
+        """Two quantile requests to one polynomial entry share one stacked
+        call; the level-1.0 answer is 5, as alone."""
+        router = ShardRouter(num_shards=2)
+        router.register("cubic", CUBIC_DATA, family=cubic_family, k=1)
+        batch = [
+            QueryRequest("quantile", "cubic", (1.0,)),
+            QueryRequest("quantile", "cubic", (0.3,)),
+        ]
+        with AsyncServingFrontend(router) as frontend:
+            results = frontend.serve(batch)
+        assert [result.value for result in results] == [5, 1]
+        assert [router.quantile("cubic", level) for level in (1.0, 0.3)] == [5, 1]
+
+
+class TestQuantileLevels:
+    """A NaN level fails the ``[0, 1]`` check, like any level outside it."""
+
+    MESSAGE = "quantile levels must lie in [0, 1]"
+
+    def test_engine_rejects_a_nan_level(self):
+        store = SynopsisStore()
+        store.register("h", np.arange(1.0, 17.0), family="exact", k=1)
+        engine = QueryEngine(store)
+        for levels in (float("nan"), np.array([0.5, float("nan")])):
+            with pytest.raises(ValueError) as excinfo:
+                engine.quantile("h", levels)
+            assert str(excinfo.value) == self.MESSAGE
+        assert engine.quantile("h", 0.5) == 11
+
+    def test_only_the_nan_request_errors_in_a_batch(self):
+        router = ShardRouter(num_shards=2)
+        router.register("h", np.arange(1.0, 17.0), family="exact", k=1)
+        router.register("g", np.linspace(1.0, 4.0, 16), family="merging", k=2)
+        batch = [
+            QueryRequest("quantile", "h", (0.5,)),
+            QueryRequest("quantile", "h", (float("nan"),)),
+            QueryRequest("quantile", "g", (0.25,)),
+            QueryRequest("quantile", "h", (np.array([0.1, 0.9]),)),
+        ]
+        with AsyncServingFrontend(router) as frontend:
+            results = frontend.serve(batch)
+        assert [result.error for result in results] == [None, self.MESSAGE, None, None]
+        assert results[0].value == 11
+        assert results[2].value == router.quantile("g", 0.25)
+        assert results[3].value.tolist() == router.quantile("h", [0.1, 0.9]).tolist()
 
 
 class TestStackLayout:
