@@ -33,14 +33,19 @@ Three legs, each checked answer for answer against the baseline:
   shard jobs each carry more than ``FAN_OUT_POINTS`` points, so it runs
   on the fan-out side of the rule (``test_kernel_heavy_leg_fans_out``).
 
-Every run refreshes ``BENCH_shard.json`` at the repo root with each leg's
-timings, the core count, and each gate's outcome.
+Each leg times the baseline and the front end in alternating pairs and
+gates on the median of the per-pair ratios: the host may change speed
+every few seconds, and two sides timed seconds apart could run at
+different speeds.  Every run refreshes ``BENCH_shard.json`` at the repo
+root with each leg's median timings and ratio, the core count, and each
+gate's outcome.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -60,7 +65,7 @@ UNIVERSE = 16_384
 NUM_REQUESTS = 2_048
 BATCH_PER_REQUEST = 32
 SHARD_COUNTS = (1, 2, 4)
-REPEATS = 5
+PAIRS = 7
 SHARD_GATE = 2.0
 
 SCALAR_REQUESTS = 10_000
@@ -134,15 +139,6 @@ def workload():
     return _build_workload()
 
 
-def _time_best(fn):
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def _baseline_pass(engine, requests):
     """Request-at-a-time single-engine serving (the pre-shard deployment)."""
     return [
@@ -158,25 +154,31 @@ def _verify(results, expected):
         np.testing.assert_array_equal(result.value, want)
 
 
-def _baseline(engine, requests):
-    """The baseline's answers and its best time."""
+def _elapsed(fn):
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def _paired(engine, router, requests):
+    """The baseline and the front end on ``requests``, timed in
+    :data:`PAIRS` alternating pairs after checking that the front end
+    answers as the baseline does: the median time of each side and the
+    median per-pair speedup, the number a gate reads."""
     expected = _baseline_pass(engine, requests)
-    return expected, _time_best(lambda: _baseline_pass(engine, requests))
-
-
-def _frontend_time(router, requests, expected):
-    """The front end's best time on ``requests``, after checking its
-    answers against ``expected``."""
+    pairs = []
     with AsyncServingFrontend(router) as frontend:
         _verify(frontend.serve(requests), expected)  # same answers
-        return _time_best(lambda: frontend.serve(requests))
-
-
-def _row(baseline, elapsed):
+        for _ in range(PAIRS):
+            pairs.append((
+                _elapsed(lambda: _baseline_pass(engine, requests)),
+                _elapsed(lambda: frontend.serve(requests)),
+            ))
+    baseline, elapsed = (statistics.median(side) for side in zip(*pairs))
     return {
         "baseline_ms": baseline * 1e3,
         "frontend_ms": elapsed * 1e3,
-        "speedup_x": baseline / elapsed,
+        "speedup_x": statistics.median(b / f for b, f in pairs),
     }
 
 
@@ -184,31 +186,28 @@ def run_comparison(workload):
     engine, routers = workload
     print(f"\ncpus={os.cpu_count()}")
     requests = _requests()
-    expected, baseline = _baseline(engine, requests)
     total_queries = NUM_REQUESTS * BATCH_PER_REQUEST
     print(
         f"multi-name: {NUM_REQUESTS} requests x {BATCH_PER_REQUEST} "
-        f"range sums over {NUM_NAMES} names (n={UNIVERSE}); "
-        f"single-engine baseline {baseline * 1e3:8.2f}ms"
+        f"range sums over {NUM_NAMES} names (n={UNIVERSE}), "
+        f"medians of {PAIRS} pairs"
     )
     legs = {"multi_name": {}}
     for shards, router in routers.items():
-        elapsed = _frontend_time(router, requests, expected)
-        legs["multi_name"][str(shards)] = _row(baseline, elapsed)
+        row = legs["multi_name"][str(shards)] = _paired(engine, router, requests)
         print(
-            f"  {shards} shard(s): {elapsed * 1e3:8.2f}ms  "
-            f"{total_queries / elapsed:12,.0f} q/s  "
-            f"speedup {baseline / elapsed:5.2f}x"
+            f"  {shards} shard(s): baseline {row['baseline_ms']:8.2f}ms  "
+            f"front end {row['frontend_ms']:8.2f}ms  "
+            f"{total_queries / row['frontend_ms'] * 1e3:12,.0f} q/s  "
+            f"speedup {row['speedup_x']:5.2f}x"
         )
 
     requests = _scalar_requests()
-    expected, baseline = _baseline(engine, requests)
-    elapsed = _frontend_time(routers[SCALAR_SHARDS], requests, expected)
-    legs["scalar_10k"] = _row(baseline, elapsed)
+    row = legs["scalar_10k"] = _paired(engine, routers[SCALAR_SHARDS], requests)
     print(
         f"scalar: {SCALAR_REQUESTS} scalar range sums, {SCALAR_SHARDS} shards: "
-        f"baseline {baseline * 1e3:8.2f}ms  front end {elapsed * 1e3:8.2f}ms  "
-        f"speedup {baseline / elapsed:5.2f}x"
+        f"baseline {row['baseline_ms']:8.2f}ms  "
+        f"front end {row['frontend_ms']:8.2f}ms  speedup {row['speedup_x']:5.2f}x"
     )
 
     router = routers[HEAVY_SHARDS]
@@ -217,18 +216,16 @@ def run_comparison(workload):
     for request in requests:
         shard = router.shard_map.shard_of(request.name)
         points[shard] = points.get(shard, 0) + request.args[0].size
-    expected, baseline = _baseline(engine, requests)
-    elapsed = _frontend_time(router, requests, expected)
-    legs["kernel_heavy"] = dict(
-        _row(baseline, elapsed),
+    row = legs["kernel_heavy"] = dict(
+        _paired(engine, router, requests),
         points_per_shard_job=[points[s] for s in sorted(points)],
     )
     print(
         f"kernel-heavy: {HEAVY_REQUESTS} requests x {HEAVY_RANGES} ranges, "
         f"{HEAVY_SHARDS} shards (points per shard job "
         f"{sorted(points.values())}, fan-out at {FAN_OUT_POINTS}): "
-        f"baseline {baseline * 1e3:8.2f}ms  front end {elapsed * 1e3:8.2f}ms  "
-        f"speedup {baseline / elapsed:5.2f}x"
+        f"baseline {row['baseline_ms']:8.2f}ms  "
+        f"front end {row['frontend_ms']:8.2f}ms  speedup {row['speedup_x']:5.2f}x"
     )
     return legs
 
@@ -264,6 +261,10 @@ def _record(legs):
         ),
         "cpus": os.cpu_count(),
         "fan_out_points": FAN_OUT_POINTS,
+        "timing": (
+            f"baseline and front end alternated in {PAIRS} pairs per leg; "
+            "times are medians, speedup_x the median per-pair ratio"
+        ),
         "gates": [
             {"gate": gate, "ran": True, "passed": passed}
             for gate, passed in _gates(legs).items()

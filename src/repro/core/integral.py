@@ -15,6 +15,9 @@ stacked pieces.  One table is the one-entry stack
 (:meth:`PiecewisePrefix.as_stack`); the serving engine's ``PrefixTable``
 and ``CohortTable`` stack many.
 
+:func:`check_query` is each query kind's one check: the query methods
+raise from it and a stacked serving call takes its row mask.
+
 Numerical design: the within-piece partial-sum polynomial is stored in the
 scaled variable ``s = 2 t / |I_u| - 1`` in ``[-1, 1]``, fitted by exact
 interpolation at ``d + 2`` equispaced integer offsets.  Evaluating a
@@ -26,14 +29,14 @@ rounding by ``~t^(m+1)`` on long pieces.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 if TYPE_CHECKING:  # fitpoly imports sparse, which imports this module
     from .fitpoly import PolynomialFit
 
-__all__ = ["PiecewisePrefix", "PrefixStack", "as_count", "as_positions", "nonintegral"]
+__all__ = ["PiecewisePrefix", "PrefixStack", "as_count", "as_positions", "check_query"]
 
 ArrayLike = Union[int, np.ndarray]
 
@@ -42,29 +45,127 @@ ArrayLike = Union[int, np.ndarray]
 #: (a serving front end stacks a shard job's requests into one call).
 _POINTS_PER_PASS = 4096
 
+#: Positions saturate at the int64 range: a uint64 at or above 2**63 would
+#: wrap negative, and a float beyond it cast to a platform-defined value.
+_UINT_CAP = np.uint64(np.iinfo(np.int64).max)
+_FLOAT_LOW, _FLOAT_HIGH = -(2.0**63), float(np.nextafter(2.0**63, 0.0))
+
+
+class Checked(NamedTuple):
+    """A query's converted arguments (positions int64, levels float64),
+    its rows that fail any check and the first failing check's error."""
+
+    args: Tuple[np.ndarray, ...]
+    bad: np.ndarray
+    error: Optional[Exception]
+
+    def passed(self) -> Tuple[np.ndarray, ...]:
+        """The converted arguments, or raise the first failing check's error."""
+        if self.error is not None:
+            raise self.error
+        return self.args
+
+
+def _per_point(values: Any, entries: Any) -> Any:
+    """``values[e]`` of every point's entry (entry 0 if ``entries`` is None)."""
+    return values[0] if entries is None else values[entries]
+
+
+def check_query(
+    kind: str,
+    args: Sequence[Any],
+    ns: Any = None,
+    entries: Any = None,
+    totals: Any = None,
+    prefixes: Sequence["PiecewisePrefix"] = (),
+) -> Checked:
+    """Convert and check the arguments of one ``kind`` query (or of bare
+    ``positions``).  A point of entry ``e`` (``entries``; None is entry
+    0) has domain ``ns[e]``, mass ``totals[e]`` and table ``prefixes[e]``.
+
+    The error is the first failing check's, in this order: positive mass
+    (cdf, quantile); each position argument an integer, in argument order
+    (one beyond int64 saturates, so it fails the domain); the level in
+    ``[0, 1]``; a monotone prefix (quantile); the domain, named by the
+    first failing point.  A conversion error raises unless a check failed
+    before it.  A range's two ends come back broadcast against each other.
+    """
+    converted = []
+    failures = []  # (rows, error) of each failing check, in check order
+    try:
+        if kind in ("cdf", "quantile"):
+            empty = _per_point(totals, entries) <= 0.0
+            if np.any(empty):
+                error = ValueError(f"{kind} requires positive total mass")
+                failures.append((empty, error))
+        if kind == "quantile":
+            levels = np.asarray(args[0], dtype=np.float64)
+            converted.append(levels)
+            outside = ~((levels >= 0.0) & (levels <= 1.0))
+            if outside.any():
+                error = ValueError("quantile levels must lie in [0, 1]")
+                failures.append((outside, error))
+            # A bincount finds the touched entries: the check sorts nothing.
+            counts = [1] if entries is None else np.bincount(np.ravel(entries))
+            undefined = np.zeros(len(prefixes), dtype=bool)
+            for entry in np.flatnonzero(counts).tolist():
+                p = prefixes[entry]
+                undefined[entry] = not (p.is_piecewise_linear or p.is_nondecreasing)
+            if undefined.any():
+                error = ValueError(
+                    "quantile is undefined for this synopsis: its reconstruction "
+                    "goes negative, so the prefix integral is not monotone"
+                )
+                failures.append((_per_point(undefined, entries), error))
+        else:
+            for arg in args:
+                xs = np.asarray(arg)
+                if xs.dtype.kind == "u":
+                    xs = np.minimum(xs, _UINT_CAP)
+                elif xs.dtype.kind != "i":
+                    values = xs.astype(np.float64)
+                    bad = ~(np.isfinite(values) & (values == np.floor(values)))
+                    if bad.any():
+                        first = values[bad][0]
+                        error = ValueError(f"positions must be integers, got {first}")
+                        failures.append((bad, error))
+                        values = np.where(bad, 0.0, values)
+                    xs = np.clip(values, _FLOAT_LOW, _FLOAT_HIGH)
+                converted.append(xs.astype(np.int64, copy=False))
+        if kind not in ("quantile", "positions"):
+            n = _per_point(ns, entries)
+            if kind in ("range_sum", "range_mean"):
+                if converted[0].shape != converted[1].shape:
+                    # The ranges the broadcast pairs up: an empty side is
+                    # no ranges at all, whatever the other side holds.
+                    converted = np.broadcast_arrays(*converted)
+                aa, bb = converted
+                outside = (aa < 0) | (bb >= n) | (aa > bb)
+                error_type, message = ValueError, "ranges must satisfy 0 <= a <= b < {}"
+            elif kind == "integral":
+                outside = (converted[0] < 0) | (converted[0] > n)
+                error_type, message = IndexError, "prefix positions must lie in [0, {}]"
+            else:
+                outside = (converted[0] < 0) | (converted[0] >= n)
+                error_type, message = ValueError, "positions must lie in [0, {})"
+            if outside.any():
+                bound = np.broadcast_to(n, outside.shape)[outside][0]
+                failures.append((outside, error_type(message.format(bound))))
+    except (TypeError, ValueError):
+        if not failures:
+            raise
+        converted = []  # they may not broadcast: the failures shape the rows
+    bad = np.zeros(np.broadcast(*converted, entries).shape, dtype=bool)
+    for rows, _ in failures:
+        bad = bad | rows
+    return Checked(tuple(converted), bad, failures[0][1] if failures else None)
+
 
 def as_positions(x: Any) -> np.ndarray:
-    """``x`` as int64 positions, or :exc:`ValueError` for a value that is
-    not an integer.
-
-    Integer arrays pass with no check.  Anything else must hold finite
-    integral values (``3.0`` is position 3; ``1.5``, NaN and inf raise),
-    so a position is never silently truncated.
-    """
-    xs = np.asarray(x)
-    if xs.dtype.kind in "iu":
-        return xs.astype(np.int64, copy=False)
-    values = xs.astype(np.float64)
-    bad = nonintegral(values)
-    if bad.any():
-        raise ValueError(f"positions must be integers, got {values[bad][0]}")
-    return values.astype(np.int64)
-
-
-def nonintegral(values: np.ndarray) -> np.ndarray:
-    """Where float ``values`` are not finite integers (the positions
-    :func:`as_positions` rejects)."""
-    return ~(np.isfinite(values) & (values == np.floor(values)))
+    """``x`` as int64 positions (saturated at the int64 range), or
+    :exc:`ValueError` for a value that is not a finite integer: ``3.0`` is
+    position 3, while ``1.5``, NaN and inf raise instead of truncating."""
+    return check_query("positions", (x,)).passed()[0]
 
 
 def as_count(m: Any) -> int:
@@ -224,13 +325,12 @@ class PiecewisePrefix:
     def integral(self, x: ArrayLike) -> np.ndarray:
         """``F(x) = sum_{i < x} f(i)`` for ``x`` in ``[0, n]``, vectorized.
 
-        Positions must be integers (:func:`as_positions`); one outside
-        ``[0, n]`` raises :exc:`IndexError`.
+        Positions must be integers; one outside ``[0, n]`` raises
+        :exc:`IndexError` (:func:`check_query`).
         """
-        xs = as_positions(x)
-        if np.any((xs < 0) | (xs > self.n)):
-            raise IndexError(f"prefix positions must lie in [0, {self.n}]")
-        return self.as_stack().integral(xs)
+        stack = self.as_stack()
+        (xs,) = check_query("integral", (x,), stack.ns).passed()
+        return stack.integral(xs)
 
 
 class PrefixStack:

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable, Tuple, Union
 
 import numpy as np
 
-from .integral import as_positions
+from .integral import check_query
 from .serialize import check_payload_tag
 
 if TYPE_CHECKING:
@@ -149,9 +149,7 @@ class SparseFunction:
         ``O(log s)`` against the cached cumulative values.
         """
         cum = self.prefix_sums()._cum
-        xs = as_positions(x)
-        if np.any((xs < 0) | (xs > self.n)):
-            raise IndexError(f"prefix positions must lie in [0, {self.n}]")
+        (xs,) = check_query("integral", (x,), (self.n,)).passed()
         out = cum[np.searchsorted(self.indices, xs, side="left")]
         return float(out) if np.ndim(x) == 0 else out
 

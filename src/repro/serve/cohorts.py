@@ -39,7 +39,7 @@ from typing import (
 
 import numpy as np
 
-from ..core.integral import PrefixStack, as_count, as_positions
+from ..core.integral import PrefixStack, as_count, check_query
 
 if TYPE_CHECKING:
     from .engine import PrefixTable
@@ -67,7 +67,9 @@ class CohortTable:
     sequential sum a caller adding the member answers would get), so
     group answers equal that member-order reduction byte for byte; the
     top-k ranking of the merged partition; and the bound of
-    :data:`_PAIRS_PER_PASS` pairs per evaluation.
+    :data:`_PAIRS_PER_PASS` pairs per evaluation.  Ranges are checked
+    (:func:`~repro.core.integral.check_query`) once per distinct domain
+    length in member order, so the first failing member names the error.
 
     The table is immutable; :class:`CohortRegistry` caches one per named
     cohort, keyed by the members' version vector.
@@ -81,8 +83,6 @@ class CohortTable:
         self._stack = PrefixStack(
             [prefix for table in tables for prefix in table.prefixes]
         )
-        # Distinct domain lengths in first-member order: a range is checked
-        # once per length, so the first member it fails on names the error.
         self._domains = list(dict.fromkeys(self._stack.ns.tolist()))
         # (lefts, rights, masses, order) of the merged partition, set by
         # the first top_k call.
@@ -104,12 +104,8 @@ class CohortTable:
 
     def range_sum(self, a: ArrayLike, b: ArrayLike) -> Union[float, np.ndarray]:
         """``sum_{member} sum_{i in [a, b]} f_member(i)`` over closed ranges."""
-        aa = as_positions(a)
-        bb = as_positions(b)
         for n in self._domains:
-            if np.any((aa < 0) | (bb >= n) | (aa > bb)):
-                raise ValueError(f"ranges must satisfy 0 <= a <= b < {n}")
-        aa, bb = np.broadcast_arrays(aa, bb)
+            aa, bb = check_query("range_sum", (a, b), (n,)).passed()
         total = self._sum_members(aa.ravel(), bb.ravel())
         if np.ndim(a) == 0 and np.ndim(b) == 0:
             return float(total[0])

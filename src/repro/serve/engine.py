@@ -45,11 +45,12 @@ import numpy as np
 from ..baselines.wavelet import WaveletSynopsis
 from ..core.histogram import Histogram, flatten
 from ..core.integral import (
+    Checked,
     PiecewisePrefix,
     PrefixStack,
+    _per_point,
     as_count,
-    as_positions,
-    nonintegral,
+    check_query,
 )
 from ..core.intervals import initial_partition
 from ..core.piecewise_poly import PiecewisePolynomial
@@ -73,32 +74,6 @@ ArrayLike = Union[int, float, np.ndarray]
 #: :class:`~repro.serve.cohorts.CohortTable` is their one evaluator: it
 #: stacks the members' tables and reduces the member rows in member order.
 GROUP_QUERY_KINDS = ("group_range_sum", "group_range_mean", "group_top_k")
-
-
-def _bad_ranges(a: np.ndarray, b: np.ndarray, n: Any) -> np.ndarray:
-    """Closed ranges ``[a, b]`` that do not lie in ``[0, n)``."""
-    return (a < 0) | (b >= n) | (a > b)
-
-
-def _bad_points(x: np.ndarray, n: Any) -> np.ndarray:
-    """Positions outside ``[0, n)``."""
-    return (x < 0) | (x >= n)
-
-
-def _bad_levels(q: np.ndarray) -> np.ndarray:
-    """Quantile levels outside ``[0, 1]``, NaN included."""
-    return ~((q >= 0.0) & (q <= 1.0))
-
-
-def _first(values: Any, bad: np.ndarray) -> int:
-    """``values`` (broadcast against ``bad``) at the first failing point."""
-    return int(np.broadcast_to(values, np.shape(bad))[bad][0])
-
-
-def _per_point(values: np.ndarray, entries: Any) -> Any:
-    """``values[e]`` for every point's entry ``e`` (entry 0 when
-    ``entries`` is None)."""
-    return values[0] if entries is None else values[entries]
 
 
 def _rows_by_entry(entries: Optional[np.ndarray]) -> List[Tuple[int, Any]]:
@@ -134,7 +109,8 @@ class PrefixTable:
     within-piece partial-sum polynomials, so a batch of B queries over
     any number of entries costs one ``searchsorted`` and one Horner pass;
     this class adds the query semantics (closed ranges, CDF
-    normalization, quantile search, heavy buckets) and their checks.
+    normalization, quantile search, heavy buckets); every query method
+    raises from :meth:`check`, whose row mask a stacked call takes.
 
     ``range_sum``, ``range_mean``, ``point_mass``, ``cdf``, ``quantile``
     and ``integral`` take their query arguments first and, last, an
@@ -210,13 +186,14 @@ class PrefixTable:
     def piece_masses(self) -> np.ndarray:
         return self.prefix.piece_masses()
 
+    def check(self, kind: str, args: Sequence[Any], entries: Any = None) -> Checked:
+        """:func:`~repro.core.integral.check_query` on this table."""
+        stack = self.evaluator
+        return check_query(kind, args, stack.ns, entries, stack.totals, self.prefixes)
+
     def integral(self, x: ArrayLike, entries: Any = None) -> np.ndarray:
         """``F_e(x) = sum_{i < x} f_e(i)`` for ``x`` in ``[0, n_e]``, vectorized."""
-        xs = as_positions(x)
-        n = _per_point(self.evaluator.ns, entries)
-        bad = (xs < 0) | (xs > n)
-        if np.any(bad):
-            raise IndexError(f"prefix positions must lie in [0, {_first(n, bad)}]")
+        (xs,) = self.check("integral", (x,), entries).passed()
         return self.evaluator.integral(xs, entries)
 
     def _difference(self, hi: np.ndarray, lo: np.ndarray, entries: Any) -> np.ndarray:
@@ -238,17 +215,7 @@ class PrefixTable:
         self, a: ArrayLike, b: ArrayLike, entries: Any = None
     ) -> Union[float, np.ndarray]:
         """``sum_{i in [a, b]} f_e(i)`` over closed ranges (batched)."""
-        aa = as_positions(a)
-        bb = as_positions(b)
-        if aa.shape != bb.shape:
-            # Check and evaluate the ranges the broadcast pairs up, as the
-            # front end does for a stacked request: an empty side is no
-            # ranges at all, whatever the other side holds.
-            aa, bb = np.broadcast_arrays(aa, bb)
-        n = _per_point(self.evaluator.ns, entries)
-        bad = _bad_ranges(aa, bb, n)
-        if np.any(bad):
-            raise ValueError(f"ranges must satisfy 0 <= a <= b < {_first(n, bad)}")
+        aa, bb = self.check("range_sum", (a, b), entries).passed()
         out = self._difference(bb + 1, aa, entries)
         return float(out) if np.ndim(a) == 0 and np.ndim(b) == 0 else out
 
@@ -260,7 +227,7 @@ class PrefixTable:
         A closed range ``[a, b]`` with ``a <= b`` always covers
         ``b - a + 1 >= 1`` positions, so the division is safe; the
         zero-length edge (``a > b``, an empty range whose mean is 0/0)
-        is rejected up front by :meth:`range_sum`'s shared validation
+        is rejected up front by :meth:`range_sum`'s check
         instead of silently returning NaN.  A single-point range
         ``a == b`` degenerates to the point mass.
         """
@@ -271,24 +238,14 @@ class PrefixTable:
 
     def point_mass(self, x: ArrayLike, entries: Any = None) -> Union[float, np.ndarray]:
         """``f_e(x)`` (batched)."""
-        xs = as_positions(x)
-        n = _per_point(self.evaluator.ns, entries)
-        bad = _bad_points(xs, n)
-        if np.any(bad):
-            raise ValueError(f"positions must lie in [0, {_first(n, bad)})")
+        (xs,) = self.check("point_mass", (x,), entries).passed()
         out = self._difference(xs + 1, xs, entries)
         return float(out) if np.ndim(x) == 0 else out
 
     def cdf(self, x: ArrayLike, entries: Any = None) -> Union[float, np.ndarray]:
         """``P[X <= x] = F_e(x + 1) / total_e`` (batched; needs positive mass)."""
+        (xs,) = self.check("cdf", (x,), entries).passed()
         totals = _per_point(self.evaluator.totals, entries)
-        if np.any(totals <= 0.0):
-            raise ValueError("cdf requires positive total mass")
-        xs = as_positions(x)
-        n = _per_point(self.evaluator.ns, entries)
-        bad = _bad_points(xs, n)
-        if np.any(bad):
-            raise ValueError(f"positions must lie in [0, {_first(n, bad)})")
         out = self.evaluator.integral(xs + 1, entries) / totals
         return float(out) if np.ndim(x) == 0 else out
 
@@ -304,12 +261,8 @@ class PrefixTable:
         a polynomial reconstruction that dips negative raises instead of
         silently returning a wrong crossing.
         """
+        (qs,) = self.check("quantile", (q,), entries).passed()
         totals = _per_point(self.evaluator.totals, entries)
-        if np.any(totals <= 0.0):
-            raise ValueError("quantile requires positive total mass")
-        qs = np.asarray(q, dtype=np.float64)
-        if np.any(_bad_levels(qs)):
-            raise ValueError("quantile levels must lie in [0, 1]")
         targets = np.atleast_1d(qs) * totals
         shape = targets.shape
         targets = targets.ravel()
@@ -318,16 +271,10 @@ class PrefixTable:
         searched: List[Tuple[int, Any]] = []
         bisected: List[Any] = []
         for entry, rows in _rows_by_entry(entries):
-            prefix = self.prefixes[entry]
-            if prefix.is_piecewise_linear:
+            if self.prefixes[entry].is_piecewise_linear:
                 searched.append((entry, rows))
-            elif prefix.is_nondecreasing:
+            else:  # a polynomial the check certified monotone
                 bisected.append(rows)
-            else:
-                raise ValueError(
-                    "quantile is undefined for this synopsis: its reconstruction "
-                    "goes negative, so the prefix integral is not monotone"
-                )
         out = np.empty(targets.size, dtype=np.int64)
         if searched:
             rows = _joined([rows for _, rows in searched], bisected)
@@ -395,40 +342,6 @@ class PrefixTable:
             reached = stack.integral(mid + 1, entries) >= targets
             hi = np.where(open_ & reached, mid, hi)
             lo = np.where(open_ & ~reached, mid + 1, lo)
-
-    def rejected(
-        self, kind: str, columns: Sequence[np.ndarray], entries: np.ndarray
-    ) -> np.ndarray:
-        """Which points of a stacked ``kind`` call fail their checks.
-
-        ``columns`` holds one 1-D numeric array per argument position and
-        ``entries`` each point's entry.  A point is rejected when the
-        checks of ``kind`` fail on it: a position that is not an integer
-        or lies outside its entry's domain, a level outside ``[0, 1]``, a
-        cdf or quantile of an entry without positive mass, or a quantile
-        of a polynomial entry whose prefix is not monotone.
-        """
-        stack = self.evaluator
-        if kind == "quantile":
-            bad = _bad_levels(columns[0].astype(np.float64))
-            served = np.zeros(stack.ns.size, dtype=bool)
-            for entry in np.flatnonzero(np.bincount(entries)).tolist():
-                prefix = self.prefixes[entry]
-                served[entry] = prefix.total_mass > 0.0 and (
-                    prefix.is_piecewise_linear or prefix.is_nondecreasing
-                )
-            return bad | ~served[entries]
-        bad = np.zeros(entries.shape, dtype=bool)
-        for column in columns:
-            if column.dtype.kind == "f":
-                bad |= nonintegral(column)
-        n = stack.ns[entries]
-        if kind in ("range_sum", "range_mean"):
-            return bad | _bad_ranges(columns[0], columns[1], n)
-        bad |= _bad_points(columns[0], n)
-        if kind == "cdf":
-            bad |= stack.totals[entries] <= 0.0
-        return bad
 
     def top_k_buckets(self, m: int) -> List[Tuple[int, int, float]]:
         """The ``m`` heaviest pieces as ``(left, right, mass)``, mass-descending."""

@@ -20,11 +20,11 @@ heavy_hitters) addressed to one entry — and answers it column by column:
   stack and answers its own calls.  N-d or empty arguments and the kinds
   that do not stack (top_k, inner_product, heavy_hitters) are served one
   request at a time.
-* Checks stay per request: the rows a request's checks reject (an
-  invalid position or level, an entry without mass, a non-monotone
-  polynomial's quantile) are taken out of the stacked call and that
-  request alone is served on its own, so it fails with the message it
-  gets alone and every other answer is unchanged.
+* A stacked call takes its kind's one check's row mask
+  (:meth:`~repro.serve.engine.PrefixTable.check`): a request with a
+  rejected row leaves the call and is served on its own, so it fails with
+  the message it gets alone, and the rows left pass the very check the
+  call runs.
 * A *light* batch runs all its shard jobs in order inside one pool job:
   per-request Python, not kernel time, dominates such a batch, and two
   pool threads would only take turns on the interpreter lock.  Only when
@@ -630,18 +630,18 @@ class AsyncServingFrontend:
     ) -> List[QueryResult]:
         """One stacked kernel call for one kind, unpacked per request.
 
-        A request whose rows fail the checks leaves the call and is served
-        alone, so its error (or answer) is the one it gets alone.
+        A request with a row the kind's check rejects is served alone, so
+        it fails as it does alone; the rows left pass the call's own check.
         """
         table, kind = call.table, call.kind
         columns, entries = call.columns, call.entries
         units = call.scalar_rows + len(call.arrays)
-        rejected = table.rejected(kind, columns, entries)
+        checked = table.check(kind, columns, entries)
         solo = [False] * units
-        if rejected.any():
+        if checked.error is not None:
             unit_of_row = np.repeat(np.arange(units), call.lengths())
             bad = np.zeros(units, dtype=bool)
-            bad[unit_of_row[rejected]] = True
+            bad[unit_of_row[checked.bad]] = True
             keep = ~bad[unit_of_row]
             columns = [column[keep] for column in columns]
             entries = entries[keep]
@@ -652,8 +652,6 @@ class AsyncServingFrontend:
         start = time.perf_counter()
         try:
             stacked = getattr(table, kind)(*columns, entries)
-        except _REQUEST_ERRORS:
-            return [self._serve_one(shard, i, requests[i]) for i in call.indices()]
         finally:
             # One stacked evaluation = one engine-side observation.
             shard.engine.observe_query(kind, time.perf_counter() - start)
@@ -823,12 +821,6 @@ class _Call:
     def lengths(self) -> List[int]:
         """Rows per request, in row order."""
         return [1] * self.scalar_rows + [rows[0].size for _, _, rows, _ in self.arrays]
-
-    def indices(self) -> List[int]:
-        """The requests' batch indices, in row order."""
-        return [i for group in self.groups for i in group.indices] + [
-            index for index, _, _, _ in self.arrays
-        ]
 
 
 def _gather(

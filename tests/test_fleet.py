@@ -17,9 +17,10 @@ The load-bearing properties:
   triggers exactly one rebuild.  A cohort never names a removed entry,
   not even when the removal races a definition.
 * The cohort state machine (``CohortMachine``) runs random register,
-  register_many, remove, define_cohort, migrate, reshard, save-load and
-  group-query sequences against a store with an engine and 1- and
-  2-shard routers, checked against a model after every step.
+  register_many, remove, define_cohort, migrate, reshard, save-load,
+  group-query and front-end batch sequences against a store with an
+  engine and 1- and 2-shard routers, checked against a model after every
+  step.
 * A ``ResidencyManager`` budget bounds resident payload bytes while every
   answer stays correct — cooled entries re-hydrate transparently.
 * Cohort definitions persist, and every save stamps the current schema.
@@ -466,34 +467,6 @@ class TestGroupQueries:
         for left, right, mass in buckets:
             piece_sum, _ = engine.group_range_sum(["a", "b"], left, right)
             assert mass == piece_sum
-
-    def test_group_over_shards_with_cohort_and_frontend(self):
-        router = ShardRouter(num_shards=3)
-        named = fleet_signals(9, seed=3)
-        router.register_many(named, BuildBudget(max_bytes=400), cohort="fleet")
-        names = [name for name, _ in named]
-        spans = {router.shard_map.shard_of(name) for name in names}
-        assert len(spans) > 1  # the cohort genuinely crosses shards
-
-        value, versions = router.group_range_sum("fleet", 4, 40)
-        member_wise = sum(router.range_sum(name, 4, 40) for name in names)
-        assert value == member_wise
-        assert set(versions) == set(names)
-
-        frontend = AsyncServingFrontend(router)
-        results = frontend.serve(
-            [
-                QueryRequest("range_sum", names[0], (4, 40)),
-                QueryRequest("group_range_sum", "fleet", (4, 40)),
-                QueryRequest("group_range_mean", ",".join(names[:3]), (0, 10)),
-            ]
-        )
-        assert results[0].error is None
-        assert results[1].error is None
-        assert results[1].value == member_wise
-        assert results[1].version == versions
-        assert results[2].error is None
-        assert set(results[2].version) == set(names[:3])
 
     def test_registry_does_not_grow_with_the_fleet(self):
         """Every read path, and a remove, mint the same registry series on
@@ -1167,6 +1140,41 @@ def brute_force_sum(dense, a, b):
     return prefix[np.asarray(b) + 1] - prefix[np.asarray(a)]
 
 
+#: The kinds of a machine front-end batch besides its group request.
+MACHINE_BATCH_KINDS = (
+    "range_sum", "range_mean", "point_mass", "cdf", "quantile",
+    "top_k", "inner_product", "heavy_hitters",
+)
+
+
+@st.composite
+def machine_args(draw, kind, names):
+    """Scalar or 1-D arguments of one ``kind`` request to the machine:
+    now and then a row is out of range, not an integer or a NaN level."""
+    if kind == "top_k":
+        return (draw(st.integers(1, 6)),)
+    if kind == "inner_product":
+        return (draw(st.sampled_from(names)),)
+    if kind == "heavy_hitters":
+        return (draw(st.sampled_from([0.1, 0.3])),)
+    point = st.integers(0, MACHINE_N - 1)
+    bad = st.sampled_from([-1, MACHINE_N, 2.5, float("nan")])
+    if kind == "quantile":
+        level = st.floats(0.0, 1.0)
+        row = st.tuples(st.one_of(*[level] * 5, st.sampled_from([1.5, np.nan])))
+    elif kind in ("range_sum", "range_mean"):
+        ordered = st.tuples(point, point).map(sorted).map(tuple)
+        row = st.one_of(
+            *[ordered] * 8, st.tuples(bad, point), st.tuples(point, bad)
+        )
+    else:
+        row = st.tuples(st.one_of(*[point] * 5, bad))
+    rows = draw(st.lists(row, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        return rows[0]
+    return tuple(np.array(column) for column in zip(*rows))
+
+
 class CohortMachine(RuleBasedStateMachine):
     """Random register / re-register / register_many / remove /
     define_cohort / migrate / reshard / save-load / cool sequences, plus
@@ -1184,6 +1192,8 @@ class CohortMachine(RuleBasedStateMachine):
     single-entry answer equals a table built afresh from the entry's
     current synopsis byte for byte (so a table kept across a refresh or
     a cool fails), comes at the model's version and matches brute force.
+    On a router, every result of a front-end batch equals its request
+    served alone through the router.
     """
 
     SHARDS = 0
@@ -1399,6 +1409,77 @@ class CohortMachine(RuleBasedStateMachine):
         if kind == "group_top_k":
             return kind, (data.draw(st.integers(1, 6), label="m"),)
         return kind, draw_ranges(data)
+
+    @precondition(lambda self: self.SHARDS and self.versions)
+    @rule(data=st.data())
+    def serve_batch(self, data):
+        """One front-end batch: every non-group kind with scalar and 1-D
+        arguments and some bad rows, a bad range beside a good one to the
+        same entry, a group request on a defined cohort (by name or as a
+        comma list) and a name the model does not hold.  Each result
+        equals the same request served alone through the router, at the
+        model's version."""
+        live = sorted(self.versions)
+        absent = data.draw(
+            st.sampled_from([n for n in MACHINE_LIVE + ("ghost",) if n not in live]),
+            label="absent",
+        )
+        names = st.sampled_from(live + [absent])
+        requests = [
+            QueryRequest(kind, name, data.draw(machine_args(kind, live + [absent])))
+            for kind in MACHINE_BATCH_KINDS
+            for name in data.draw(st.lists(names, min_size=1, max_size=3))
+        ]
+        name = data.draw(st.sampled_from(live), label="coalesced")
+        requests += [
+            QueryRequest("range_sum", name, (0, MACHINE_N - 1)),
+            QueryRequest("range_sum", name, (0, MACHINE_N)),
+            QueryRequest("cdf", absent, (0,)),
+        ]
+        if self.groups:
+            cohort = data.draw(st.sampled_from(sorted(self.groups)), label="cohort")
+            # The cohort by name, or its members as a comma list.
+            spec = data.draw(st.sampled_from([cohort, ",".join(self.groups[cohort])]))
+            kind = data.draw(st.sampled_from(GROUP_QUERY_KINDS), label="group")
+            args = draw_ranges(data) if kind != "group_top_k" else (
+                data.draw(st.integers(1, 6), label="m"),
+            )
+            requests.append(QueryRequest(kind, spec, args))
+        requests = data.draw(st.permutations(requests), label="batch")
+        with AsyncServingFrontend(self.target) as frontend:
+            results = frontend.serve(requests)
+        assert [result.index for result in results] == list(range(len(requests)))
+        for request, result in zip(requests, results):
+            value, version, error = self.served_alone(request)
+            assert (result.name, result.kind) == (request.name, request.kind)
+            assert result.error == error, request
+            if error is None:
+                assert type(result.value) is type(value), request
+                assert _exact(result.value) == _exact(value), request
+                assert result.version == version, request
+
+    def served_alone(self, request):
+        """``(value, version, error)`` of ``request`` served alone through
+        the router; the version is the model's.  A name the router does
+        not hold fails with its shard store's message, as the front end
+        words it: on 2 shards the router's own lists every shard's
+        entries."""
+        kind, name, args = request.kind, request.name, request.args
+        try:
+            if kind in GROUP_QUERY_KINDS:
+                value, versions = getattr(self.target, kind)(name, *args)
+                members = self.groups.get(name) or name.split(",")
+                assert list(versions.items()) == [
+                    (member, self.versions[member]) for member in members
+                ]
+                return value, versions, None
+            if name not in self.versions:
+                self.target.shard_of(name).store[name]
+            method = "top_k_buckets" if kind == "top_k" else kind
+            value = getattr(self.target, method)(name, *args)
+        except (KeyError, ValueError, IndexError, TypeError) as exc:
+            return None, -1, str(exc)
+        return value, self.versions[name], None
 
     @precondition(lambda self: self.versions)
     @rule(data=st.data())

@@ -401,30 +401,6 @@ class TestFrontend:
             results[1].value, engine.range_sum(name, a + 1, b + 1)
         )
 
-    def test_bad_request_isolated(self, frontend):
-        requests = [
-            QueryRequest("range_sum", NAMES[0], (0, 10)),
-            QueryRequest("range_sum", "nope", (0, 10)),
-            QueryRequest("range_sum", NAMES[0], (0, 10_000)),  # out of range
-            QueryRequest("range_sum", NAMES[0], (5, 20)),
-        ]
-        results = frontend.serve(requests)
-        assert results[0].ok and results[3].ok
-        assert not results[1].ok and "registered" in results[1].error
-        assert not results[2].ok and "ranges must satisfy" in results[2].error
-
-    def test_bad_request_inside_coalesced_group_isolated(self, frontend):
-        # Same (name, kind) group: the poisoned member must not take the
-        # healthy ones down with it.
-        requests = [
-            QueryRequest("range_sum", NAMES[0], (0, 10)),
-            QueryRequest("range_sum", NAMES[0], (0, 10_000)),
-            QueryRequest("range_sum", NAMES[0], (7, 9)),
-        ]
-        results = frontend.serve(requests)
-        assert results[0].ok and results[2].ok
-        assert not results[1].ok
-
     def test_empty_request_answers_like_one_at_a_time(self, frontend, pair):
         # An empty side broadcasts to no ranges: stacked into a group or
         # answered alone, (empty, out-of-range scalar) is an empty answer.

@@ -3,12 +3,16 @@
 Every read goes through ``repro.core.integral.PrefixStack``: one
 ``searchsorted`` over per-entry key offsets plus one Horner pass, under
 ``PrefixTable`` (one table is the one-entry stack) and ``CohortTable``.
-The property here stacks 1-5 tables of every family and checks each
-stacked answer, and each row's rejection, against
-``helpers.reference_answer`` on the row's own entry, byte for byte.
+The property here stacks 1-5 tables of every family (a zero-mass and a
+non-monotone entry among them) and checks each stacked answer, and each
+row's rejection by ``PrefixTable.check``, against
+``helpers.reference_answer`` on the row's own entry, byte for byte.  A
+NaN level is checked against its entry's own one-row call instead: the
+frozen reference predates that check.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -28,8 +32,8 @@ from repro import (
     family_spec,
     fit_polynomial,
 )
-from repro.core.integral import PrefixStack
-from repro.serve import builders
+from repro.core.integral import PrefixStack, as_positions
+from repro.serve import CohortTable, builders
 from repro.serve.builders import build_synopsis
 
 from helpers import (
@@ -68,6 +72,24 @@ def _monotone_polys(draw):
     )
 
 
+@st.composite
+def _zero_mass(draw):
+    """A histogram of total mass zero: its cdf and quantile are undefined."""
+    n = draw(st.integers(1, 15))
+    dense = draw(st.sampled_from([np.zeros(2 * n), np.tile([1.0, -1.0], n)]))
+    return Histogram.from_dense(dense)
+
+
+@st.composite
+def _non_monotone_polys(draw):
+    """A linear fit of a ramp that goes negative: the prefix is not
+    monotone, so its quantile is undefined."""
+    n = draw(st.integers(2, 30))
+    top = draw(st.floats(0.5, 10.0))
+    ramp = SparseFunction.from_dense(np.linspace(top, -top - 1.0, n))
+    return PiecewisePolynomial(n, [fit_polynomial(ramp, 0, n - 1, 1)])
+
+
 SYNOPSES = st.one_of(
     _built("merging"),
     _built("gks"),
@@ -77,23 +99,40 @@ SYNOPSES = st.one_of(
     histograms(),
     piecewise_polynomials(),
     _monotone_polys(),
+    _zero_mass(),
+    _non_monotone_polys(),
 )
+
+
+#: Positions beyond int64: they saturate, so they lie outside every domain.
+HUGE = (1e20, -1e20, 2**63, np.uint64(2**64 - 1))
 
 
 @st.composite
 def _position(draw, n):
     """A position of a domain of size ``n``: mostly valid, sometimes one
-    step outside it, an integral float or a non-integral one."""
-    form = draw(st.sampled_from(["int"] * 6 + ["float", "low", "high", "half"]))
+    step outside it, an integral float or a non-integral one, not finite,
+    beyond int64, or unsigned."""
+    form = draw(st.sampled_from(
+        ["int"] * 8 + ["float", "low", "high", "half", "inf", "nan", "huge", "uint"]
+    ))
     if form == "low":
         return -1
     if form == "high":
         return n
+    if form == "inf":
+        return draw(st.sampled_from([float("inf"), float("-inf")]))
+    if form == "nan":
+        return float("nan")
+    if form == "huge":
+        return draw(st.sampled_from(HUGE))
     x = draw(st.integers(0, n - 1))
     if form == "float":
         return float(x)
     if form == "half":
         return x + 0.5
+    if form == "uint":
+        return np.uint64(x)
     return x
 
 
@@ -116,10 +155,15 @@ def _rows(draw, kind, ns):
         elif kind == "quantile":
             level = st.floats(0.0, 1.0, allow_nan=False)
             args.append((draw(st.one_of(level, level, st.sampled_from(
-                [0.0, 1.0, -0.05, 1.05]))),))
+                [0.0, 1.0, -0.05, 1.05, float("nan")]))),))
         else:
             args.append((draw(_position(n)),))
     return entries, args
+
+
+def _nan_level(kind, args):
+    """Whether a row is a quantile at a NaN level."""
+    return kind == "quantile" and bool(np.isnan(args[0]))
 
 
 def _outcome(call):
@@ -152,12 +196,18 @@ class TestStackedEvaluator:
             entries, args = data.draw(_rows(kind, ns))
             codes = np.array(entries, dtype=np.intp)
             columns = [np.array(column) for column in zip(*args)]
-            # A row is rejected exactly when it fails on its own entry.
+            # A row is rejected exactly when it fails on its own entry.  The
+            # frozen reference predates the NaN-level check, so a NaN level
+            # is compared with its entry's own one-row call instead.
             alone = [
-                _outcome(lambda e=e, a=a: reference_answer(prefixes[e], kind, *a))[1]
+                _outcome(
+                    lambda e=e, a=a: getattr(tables[e], kind)(*a)
+                    if _nan_level(kind, a)
+                    else reference_answer(prefixes[e], kind, *a)
+                )[1]
                 for e, a in zip(entries, args)
             ]
-            rejected = stack.rejected(kind, columns, codes)
+            rejected = stack.check(kind, columns, codes).bad
             assert rejected.tolist() == [error is not None for error in alone]
             # The whole call fails with the error one rejected row gets alone.
             value, error = _outcome(lambda: getattr(stack, kind)(*columns, codes))
@@ -229,6 +279,111 @@ class TestPositionsMustBeIntegers:
         assert table.integral(1) == 1.0
         with pytest.raises(ValueError, match="got 1.5"):
             table.integral(1.5)
+
+
+class TestHugeIntegers:
+    """A position or top-k size beyond int64 saturates at the int64 range
+    instead of wrapping (a uint64 at or above 2**63) or casting to a
+    platform-defined value with a RuntimeWarning (a float beyond int64):
+    a huge position fails the domain check with its usual message, and a
+    huge ``m`` returns every piece.  Every warning is an error here."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_conversion_saturates(self):
+        unsigned = np.array([2**63, 2**64 - 1, 5], dtype=np.uint64)
+        assert as_positions(unsigned).tolist() == [2**63 - 1, 2**63 - 1, 5]
+        floats = np.array([1e20, -1e20, 3.0])
+        assert as_positions(floats).tolist() == [2**63 - 1024, -(2**63), 3]
+        assert as_positions(2**64) == 2**63 - 1024
+
+    def test_positions_fail_the_domain_check(self):
+        dense = np.arange(1.0, 17.0)
+        table = PrefixTable.from_synopsis(Histogram.from_dense(dense))
+        sparse = SparseFunction.from_dense(dense)
+        calls = {
+            "positions must lie in [0, 16)": (table.point_mass, table.cdf),
+            "ranges must satisfy 0 <= a <= b < 16": (
+                lambda x: table.range_sum(0, x),
+                lambda x: table.range_mean(x, np.array([3, 4])),
+            ),
+            "prefix positions must lie in [0, 16]": (
+                table.integral, table.prefix.integral, sparse.prefix_integral
+            ),
+        }
+        for huge in HUGE + (2**64, np.uint64(2**63), np.array([3, 1e20])):
+            for message, fns in calls.items():
+                for fn in fns:
+                    with pytest.raises((ValueError, IndexError)) as excinfo:
+                        fn(huge)
+                    assert str(excinfo.value) == message
+
+    def test_front_end_rows_fail_alone(self):
+        router = ShardRouter(num_shards=2)
+        router.register("h", np.arange(1.0, 17.0), family="exact", k=1)
+        batch = [
+            QueryRequest("point_mass", "h", (3,)),
+            QueryRequest("point_mass", "h", (1e20,)),
+            QueryRequest("range_sum", "h", (0, np.uint64(2**63))),
+            QueryRequest("cdf", "h", (np.array([2, 2**63], dtype=np.uint64),)),
+            QueryRequest("range_sum", "h", (np.array([1.0, 2.0]), -1e20)),
+            QueryRequest("range_sum", "h", (1, 4)),
+        ]
+        with AsyncServingFrontend(router) as frontend:
+            results = frontend.serve(batch)
+        assert [result.error for result in results] == [
+            None,
+            "positions must lie in [0, 16)",
+            "ranges must satisfy 0 <= a <= b < 16",
+            "positions must lie in [0, 16)",
+            "ranges must satisfy 0 <= a <= b < 16",
+            None,
+        ]
+        assert results[0].value == router.point_mass("h", 3)
+        assert results[5].value == router.range_sum("h", 1, 4)
+
+    def test_huge_m_returns_every_piece(self):
+        tables = [
+            PrefixTable.from_synopsis(Histogram.from_dense(dense))
+            for dense in (np.arange(1.0, 17.0), np.arange(16.0, 0.0, -1.0))
+        ]
+        cohort = CohortTable(tables)
+        every = tables[0].top_k_buckets(tables[0].num_pieces)
+        merged = cohort.top_k(10**6)
+        for m in (2**63, 2**64, np.uint64(2**63), np.uint64(2**64 - 1), 1e20):
+            assert tables[0].top_k_buckets(m) == every
+            assert cohort.top_k(m) == merged
+        for table in (tables[0].top_k_buckets, cohort.top_k):
+            with pytest.raises(ValueError, match=r"m must be >= 1, got -1e\+20"):
+                table(-1e20)
+
+
+class TestCheckOrder:
+    """A conversion error counts only when no check failed before it, as
+    when each argument was checked and raised in turn."""
+
+    def test_earlier_checks_win(self):
+        table = PrefixTable.from_synopsis(Histogram.from_dense(np.arange(1.0, 17.0)))
+        empty = PrefixTable.from_synopsis(Histogram.from_dense(np.zeros(4)))
+        calls = {
+            "positions must be integers, got 1.5": (
+                lambda: table.range_sum(np.array([1.5, 2.0]), np.array([1, 2, 3])),
+                lambda: table.range_sum(1.5, "x"),
+            ),
+            "cdf requires positive total mass": (lambda: empty.cdf("x"),),
+            "quantile requires positive total mass": (lambda: empty.quantile("x"),),
+        }
+        for message, fns in calls.items():
+            for fn in fns:
+                with pytest.raises(ValueError) as excinfo:
+                    fn()
+                assert str(excinfo.value) == message
+        with pytest.raises(ValueError, match="could not convert"):
+            table.range_sum(1, "x")
 
 
 class TestLongCalls:
